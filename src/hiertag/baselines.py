@@ -10,9 +10,10 @@ transitive candidates, and resolves multi-parent conflicts.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .corpus import CooccurrenceNetwork
 from .hierarchy import Hierarchy
@@ -34,15 +35,11 @@ class HeymannParams:
             )
 
 
-def cosine_similarities(network: CooccurrenceNetwork) -> list[dict[int, float]]:
-    """Object-space cosine per co-occurring pair: Q_ij / sqrt(Q_i * Q_j)."""
-    freq = network.freq
-    sims: list[dict[int, float]] = [{} for _ in range(network.n_tags)]
-    for i, j, w in network.pairs():
-        s = w / math.sqrt(freq[i] * freq[j])
-        sims[i][j] = s
-        sims[j][i] = s
-    return sims
+def cosine_similarities(network: CooccurrenceNetwork) -> np.ndarray:
+    """Object-space cosine Q_ij / sqrt(Q_i * Q_j) of every stored count,
+    aligned with `network.indices`."""
+    freq = np.asarray(network.freq, dtype=np.int64)
+    return network.weights / np.sqrt(freq[network.rows] * freq[network.indices])
 
 
 def _closeness(adj: list[list[int]], n: int) -> list[float]:
@@ -81,30 +78,38 @@ def extract_heymann(
         raise ValueError(f"corpus uses the reserved tag name {SYNTHETIC_ROOT!r}")
     sims = cosine_similarities(network)
     theta = params.similarity_threshold
-    graph = [[j for j, s in sims[i].items() if s >= theta] for i in range(n)]
+    rows, cols = network.rows, network.indices
+    similar = sims >= theta
     if params.centrality_kind == "degree-strength":
-        key = [(len(graph[i]), network.freq[i], -i) for i in range(n)]
+        centrality = np.bincount(rows[similar], minlength=n)
     else:
-        closeness = _closeness(graph, n)
-        key = [(closeness[i], network.freq[i], -i) for i in range(n)]
-    order = sorted(range(n), key=lambda i: key[i], reverse=True)
+        graph: list[list[int]] = [[] for _ in range(n)]
+        for i, j in zip(rows[similar].tolist(), cols[similar].tolist()):
+            graph[i].append(j)
+        centrality = _closeness(graph, n)
+    # descending (centrality, frequency, -id)
+    order = np.lexsort((-np.arange(n), network.freq, centrality))[::-1]
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
 
-    inserted: list[int] = []
+    # each tag's most similar partner inserted before it, ties to the one
+    # inserted first; row runs of the stored counts group entries by tag
+    earlier = position[cols] < position[rows]
+    tag, sim, pos = rows[earlier], sims[earlier], position[cols[earlier]]
+    starts = np.flatnonzero(np.diff(tag, prepend=-1))
+    best_sim = np.maximum.reduceat(sim, starts)
+    at_best = sim == np.repeat(best_sim, np.diff(starts, append=len(tag)))
+    tag, pos = tag[at_best], pos[at_best]
+    starts = np.flatnonzero(np.diff(tag, prepend=-1))
+    first_inserted = np.minimum.reduceat(pos, starts)
+    attached = best_sim >= theta
+    parent = np.full(n, -1)
+    parent[tag[starts][attached]] = order[first_inserted[attached]]
+
     names = network.names
-    edges = []
-    for i in order:
-        best = None
-        best_sim = 0.0
-        for j in inserted:
-            s = sims[i].get(j, 0.0)
-            if s > best_sim:
-                best_sim = s
-                best = j
-        if best is not None and best_sim >= theta:
-            edges.append((names[best], names[i]))
-        else:
-            edges.append((SYNTHETIC_ROOT, names[i]))
-        inserted.append(i)
+    edges = [
+        (SYNTHETIC_ROOT if p < 0 else names[p], names[i]) for i, p in enumerate(parent.tolist())
+    ]
     return Hierarchy(names + (SYNTHETIC_ROOT,), edges)
 
 
@@ -136,40 +141,32 @@ def extract_schmitz(
     """
     if network.n_tags == 0:
         raise ValueError("empty network")
-    freq = network.freq
+    freq = np.asarray(network.freq, dtype=np.int64)
+    rows, cols, w = network.rows, network.indices, network.weights
     t_sub = params.t_subsume
-    candidates: list[tuple[int, int]] = []
-    for i, j, w in network.pairs():
-        if w < params.min_cooccurrence:
-            continue
-        p_i_given_j = w / freq[j]
-        p_j_given_i = w / freq[i]
-        if p_i_given_j >= t_sub and p_j_given_i < t_sub:
-            candidates.append((i, j))
-        elif p_j_given_i >= t_sub and p_i_given_j < t_sub:
-            candidates.append((j, i))
+    # both stored copies of a pair are tested, one per direction: x -> y at
+    # the entry (x, y) iff P(x|y) = Q_xy / Q_y >= t and P(y|x) = Q_xy / Q_x < t
+    subsumes = (
+        (w >= params.min_cooccurrence) & (w / freq[cols] >= t_sub) & (w / freq[rows] < t_sub)
+    )
+    candidates = list(
+        zip(rows[subsumes].tolist(), cols[subsumes].tolist(), w[subsumes].tolist())
+    )
 
     children: dict[int, set[int]] = {}
     parents: dict[int, set[int]] = {}
-    for x, y in candidates:
+    for x, y, _ in candidates:
         children.setdefault(x, set()).add(y)
         parents.setdefault(y, set()).add(x)
-    kept = [
-        (x, y)
-        for x, y in candidates
-        if not (children.get(x, set()) & parents.get(y, set()))
-    ]
 
-    best_parent: dict[int, int] = {}
-    for x, y in kept:
-        w = network.weight(x, y)
-        if y not in best_parent:
-            best_parent[y] = x
-        else:
-            cur = best_parent[y]
-            w_cur = network.weight(cur, y)
-            if w > w_cur or (w == w_cur and x < cur):
-                best_parent[y] = x
+    # per child, (count, parent) of its strongest kept candidate: the largest
+    # count wins, ties go to the smaller parent id
+    best: dict[int, tuple[int, int]] = {}
+    for x, y, w_xy in candidates:
+        if children[x] & parents[y]:
+            continue
+        if y not in best or (w_xy, -x) > (best[y][0], -best[y][1]):
+            best[y] = (w_xy, x)
     names = network.names
-    edges = [(names[x], names[y]) for y, x in best_parent.items()]
+    edges = [(names[x], names[y]) for y, (_, x) in best.items()]
     return Hierarchy(names, edges)

@@ -3,7 +3,8 @@
 Verb subcommands: generate, extract, evaluate, curve, randomize, tree. Every
 run emits exactly one manifest ("key TAB value" lines) recording the resolved
 parameters, inputs, outputs, toolkit version and wall-clock duration; the
-stored argv line lets `hiertag --manifest FILE` replay the run. Seeded
+stored argv line lets `hiertag --manifest FILE` replay the run (a manifest
+whose argv is itself a replay is rejected). Seeded
 subcommands are byte-reproducible; `--threads` (or the HIERTAG_THREADS
 environment variable) never changes results, only wall time.
 """
@@ -34,7 +35,7 @@ from .benchmark import (
 )
 from .corpus import build_cooccurrence, load_corpus
 from .extract_a import AlgoAParams, extract_a
-from .extract_b import AlgoBParams, extract_b
+from .extract_b import AlgoBParams, extract_b_from_pruned, prune_network
 from .hierarchy import (
     REWIRING_ORDERS,
     binary_tree,
@@ -124,25 +125,28 @@ def _cmd_generate(args: argparse.Namespace) -> list[tuple[str, str]]:
 def _cmd_extract(args: argparse.Namespace) -> list[tuple[str, str]]:
     threads = _resolve_threads(args.threads)
     corpus = load_corpus(args.input, with_ids=args.with_ids)
-    network = build_cooccurrence(corpus, threads=threads)
+    network = build_cooccurrence(corpus)
     entries = [
         ("input", args.input),
         ("with_ids", str(args.with_ids).lower()),
         ("algorithm", args.algorithm),
         ("threads", str(threads)),
+        ("objects", str(corpus.n_objects)),
+        ("tags", str(corpus.n_tags)),
+        ("pairs", str(network.n_pairs)),
     ]
     if args.algorithm == "a":
         h = extract_a(network, AlgoAParams(omega=args.omega))
         entries.append(("omega", str(args.omega)))
     elif args.algorithm == "b":
-        h = extract_b(
-            network,
-            AlgoBParams(
-                z_threshold=args.z_threshold, force_single_root=args.force_single_root
-            ),
+        params = AlgoBParams(
+            z_threshold=args.z_threshold, force_single_root=args.force_single_root
         )
+        pruned = prune_network(network, params.z_threshold)
+        h = extract_b_from_pruned(pruned, params)
         entries.append(("z_threshold", str(args.z_threshold)))
         entries.append(("force_single_root", str(args.force_single_root).lower()))
+        entries.append(("pairs_kept", str(pruned.n_pairs)))
     elif args.algorithm == "heymann":
         h = extract_heymann(
             network,
@@ -367,6 +371,13 @@ def main(argv: list[str] | None = None) -> int:
             stored = _read_manifest_argv(raw_argv[1])
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        if stored[:1] == ["--manifest"]:
+            print(
+                f"error: manifest {raw_argv[1]!r} replays another manifest; "
+                "nested replay is not supported",
+                file=sys.stderr,
+            )
             return 1
         return main(stored)
     parser = build_parser()

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import CooccurrenceNetwork
 from .hierarchy import Hierarchy
-from .stats import in_link_entropy, z_from_counts
+from .stats import in_link_entropy, z_scores
 
 
 @dataclass(frozen=True)
@@ -35,20 +37,16 @@ def surviving_in_links(network: CooccurrenceNetwork, omega: float) -> list[dict[
 
     Q_i caps every co-occurrence count involving i, so the cut is a fraction
     of the strongest value i's row can hold. A tag may lose all incoming
-    links and become a local root.
+    links and become a local root. Each dict lists j in ascending order.
     """
-    q = network.q_total
-    freq = network.freq
-    kept: list[dict[int, float]] = []
-    for i, nbrs in enumerate(network.adj):
-        cut = omega * freq[i]
-        kept.append(
-            {
-                j: z_from_counts(q, freq[i], freq[j], w)
-                for j, w in nbrs.items()
-                if w >= cut
-            }
-        )
+    freq = np.asarray(network.freq, dtype=np.int64)
+    rows, cols, w = network.rows, network.indices, network.weights
+    keep = w >= omega * freq[rows]
+    rows, cols, w = rows[keep], cols[keep], w[keep]
+    z = z_scores(network.q_total, freq[rows], freq[cols], w)
+    kept: list[dict[int, float]] = [{} for _ in range(network.n_tags)]
+    for i, j, z_ij in zip(rows.tolist(), cols.tolist(), z.tolist()):
+        kept[i][j] = z_ij
     return kept
 
 
@@ -95,23 +93,24 @@ def extract_a(network: CooccurrenceNetwork, params: AlgoAParams = AlgoAParams())
         entropy = {}
         in_weight = {}
         for r in roots:
-            ws = [network.adj[r][j] for j in strong_in[r]]
+            ws = [network.weight(r, j) for j in strong_in[r]]
             entropy[r] = in_link_entropy(ws)
             in_weight[r] = sum(ws)
         global_root = max(roots, key=lambda r: (entropy[r], in_weight[r], -r))
 
+        # every row's partners heaviest first, ties by ascending id (the
+        # stable sort keeps the stored ascending order); the stored counts
+        # keep their rows, so row r is heaviest[indptr[r]:indptr[r + 1]]
+        rows, cols, w = network.rows, network.indices, network.weights
+        heaviest = cols[np.lexsort((-w, rows))]
         # each non-global local root proposes its most frequent co-occurring
         # partner from a different component; no outside partner -> global root
-        suggested: dict[int, int] = {}
-        for r in roots:
-            if r == global_root:
-                continue
-            chosen = None
-            for j, _ in sorted(network.adj[r].items(), key=lambda kv: (-kv[1], kv[0])):
-                if comp[j] != r:
-                    chosen = j
-                    break
-            suggested[r] = global_root if chosen is None else chosen
+        outside = np.flatnonzero(np.asarray(comp)[heaviest] != rows)
+        first_rows, first = np.unique(rows[outside], return_index=True)
+        heaviest_outside = dict(zip(first_rows.tolist(), heaviest[outside[first]].tolist()))
+        suggested = {
+            r: heaviest_outside.get(r, global_root) for r in roots if r != global_root
+        }
 
         # circular component chains: follow root -> component(suggested parent)
         # until a root with no suggestion or a revisit; clear the whole walk
@@ -147,7 +146,7 @@ def extract_a(network: CooccurrenceNetwork, params: AlgoAParams = AlgoAParams())
         # heaviest co-occurring partner not below them; fallback global root
         for r in sorted(looped, key=lambda x: (-entropy[x], x)):
             chosen = None
-            for j, _ in sorted(network.adj[r].items(), key=lambda kv: (-kv[1], kv[0])):
+            for j in heaviest[network.indptr[r] : network.indptr[r + 1]].tolist():
                 if not is_below(j, r):
                     chosen = j
                     break

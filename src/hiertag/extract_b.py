@@ -8,14 +8,22 @@ its parent among its pruned neighbors of higher centrality rank, scoring each
 candidate by its z-score with the tag plus the z-scores with the tag's
 already-attached descendants (each descendant contributing only through links
 that qualify on their own). Tags with no candidate become roots.
+
+Pruning is one mask over the stored counts of the network's CSR matrix; the
+sweep then reads only the much smaller pruned matrix. A descendant's link
+qualifies by the same test that keeps a pair in pruning (up to the last bit
+of a z-score within one ulp of the threshold), so every contributing link is
+one the pruned matrix holds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import CooccurrenceNetwork
 from .hierarchy import Hierarchy
-from .stats import eigenvector_centrality, z_from_counts
+from .stats import eigenvector_centrality, z_scores
 
 CENTRALITY_ITERATIONS = 100
 
@@ -28,65 +36,75 @@ class AlgoBParams:
 
 def prune_network(network: CooccurrenceNetwork, z_threshold: float) -> CooccurrenceNetwork:
     """Keep pair {i, j} iff z_ij > z_threshold, or Q_ij >= Q_i/2, or Q_ij >= Q_j/2."""
-    q = network.q_total
-    freq = network.freq
-    kept = []
-    for i, j, w in network.pairs():
-        if (
-            w >= 0.5 * freq[i]
-            or w >= 0.5 * freq[j]
-            or z_from_counts(q, freq[i], freq[j], w) > z_threshold
-        ):
-            kept.append((i, j, w))
-    return network.replace_pairs(kept)
+    freq = np.asarray(network.freq, dtype=np.int64)
+    rows, cols, w = network.rows, network.indices, network.weights
+    # z of each pair with its smaller id first, as a loop over i < j scores it,
+    # so that both stored copies of a pair agree
+    z = z_scores(network.q_total, freq[np.minimum(rows, cols)], freq[np.maximum(rows, cols)], w)
+    keep = (w >= 0.5 * freq[rows]) | (w >= 0.5 * freq[cols]) | (z > z_threshold)
+    return network.masked(keep)
 
 
 def centrality_rank(pruned: CooccurrenceNetwork) -> list[int]:
     """Tags in ascending rank order: by centrality, frequency ties rank the
     more frequent tag higher, remaining ties by tag id (smaller id higher)."""
     cent = eigenvector_centrality(pruned, CENTRALITY_ITERATIONS).scores
-    return sorted(range(pruned.n_tags), key=lambda i: (cent[i], pruned.freq[i], -i))
+    n = pruned.n_tags
+    return np.lexsort((-np.arange(n), pruned.freq, cent)).tolist()
 
 
 def extract_b(network: CooccurrenceNetwork, params: AlgoBParams = AlgoBParams()) -> Hierarchy:
     """Extract an acyclic forest; every parent outranks its child in centrality."""
-    n = network.n_tags
+    return extract_b_from_pruned(prune_network(network, params.z_threshold), params)
+
+
+def extract_b_from_pruned(pruned: CooccurrenceNetwork, params: AlgoBParams) -> Hierarchy:
+    """The sweep of `extract_b` on a network already pruned at `params.z_threshold`."""
+    n = pruned.n_tags
     if n == 0:
         raise ValueError("empty network")
-    q = network.q_total
-    freq = network.freq
     thr = params.z_threshold
-    pruned = prune_network(network, thr)
     order = centrality_rank(pruned)
-    rank = [0] * n
-    for pos, i in enumerate(order):
-        rank[i] = pos
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+
+    freq = np.asarray(pruned.freq, dtype=np.int64)
+    rows, cols, w = pruned.rows, pruned.indices, pruned.weights
+    z = z_scores(pruned.q_total, freq[rows], freq[cols], w)
+    # the link from tag r toward t qualifies on its own (majority exception on
+    # r's side only); this decides both whether a candidate t re-qualifies for
+    # a tag with descendants and whether a descendant contributes to t
+    qualifies = (z > thr) | (w >= 0.5 * freq[rows])
+    upward = rank[cols] > rank[rows]
+    candidates: list[list[tuple[int, float, int, bool]]] = [[] for _ in range(n)]
+    contribution: list[dict[int, float]] = [{} for _ in range(n)]
+    for r, t, z_rt, w_rt, ok, up in zip(
+        rows.tolist(), cols.tolist(), z.tolist(), w.tolist(), qualifies.tolist(), upward.tolist()
+    ):
+        if up:
+            candidates[r].append((t, z_rt, w_rt, ok))
+        if ok:
+            contribution[r][t] = z_rt
 
     parent: list[int | None] = [None] * n
     descendants: list[set[int]] = [set() for _ in range(n)]
     for i in order:
-        nbrs = pruned.adj[i]
-        candidates = [t for t in nbrs if rank[t] > rank[i]]
-        if not candidates:
+        if not candidates[i]:
             continue
-        score = {t: z_from_counts(q, freq[i], freq[t], nbrs[t]) for t in candidates}
-        if descendants[i]:
-            for t in candidates:
-                # the i-t link must re-qualify, majority exception on the
-                # i side only; then each attached descendant contributes
-                # through its own qualifying link to t
-                if not (nbrs[t] >= 0.5 * freq[i] or score[t] > thr):
-                    continue
+        best_key = None
+        for t, score, w_it, ok in candidates[i]:
+            if ok and descendants[i]:
+                # summed in the set's iteration order, which fixes the rounding
                 gained = 0.0
                 for d in descendants[i]:
-                    w_dt = network.adj[d].get(t)
-                    if w_dt is None:
-                        continue
-                    z_dt = z_from_counts(q, freq[d], freq[t], w_dt)
-                    if z_dt > thr or w_dt >= 0.5 * freq[d]:
+                    z_dt = contribution[d].get(t)
+                    if z_dt is not None:
                         gained += z_dt
-                score[t] += gained
-        best = max(candidates, key=lambda t: (score[t], nbrs[t], -t))
+                score += gained
+            key = (score, w_it, -t)
+            if best_key is None or key > best_key:
+                best_key = key
+        best = -best_key[2]
         parent[i] = best
         descendants[best] |= descendants[i]
         descendants[best].add(i)
@@ -99,6 +117,6 @@ def extract_b(network: CooccurrenceNetwork, params: AlgoBParams = AlgoBParams())
                 if r != top:
                     parent[r] = top
 
-    names = network.names
+    names = pruned.names
     edges = [(names[p], names[c]) for c, p in enumerate(parent) if p is not None]
     return Hierarchy(names, edges)

@@ -11,17 +11,15 @@ import random
 from collections import deque
 from typing import Iterable, Iterator
 
+from .textio import TextFormatError
+
 
 class CycleError(ValueError):
     """An edge set that was required to be acyclic contains a directed cycle."""
 
 
-class HierarchyFormatError(ValueError):
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
+class HierarchyFormatError(TextFormatError):
+    """A malformed hierarchy file."""
 
 
 class Hierarchy:
@@ -117,26 +115,32 @@ class Hierarchy:
 
 
 def load_hierarchy(path: str) -> Hierarchy:
+    """Read a hierarchy file; format errors name the file and line."""
     tags: set[str] = set()
     edges: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) == 1:
-                if not fields[0]:
-                    raise HierarchyFormatError("empty tag", lineno)
-                tags.add(fields[0])
-            elif len(fields) == 2:
-                parent, child = fields
-                if not parent or not child:
-                    raise HierarchyFormatError("empty tag in edge", lineno)
-                tags.update((parent, child))
-                edges.append((parent, child))
-            else:
-                raise HierarchyFormatError(f"expected 1 or 2 fields, got {len(fields)}", lineno)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if len(fields) == 1:
+                    if not fields[0]:
+                        raise HierarchyFormatError("empty tag", lineno, path)
+                    tags.add(fields[0])
+                elif len(fields) == 2:
+                    parent, child = fields
+                    if not parent or not child:
+                        raise HierarchyFormatError("empty tag in edge", lineno, path)
+                    tags.update((parent, child))
+                    edges.append((parent, child))
+                else:
+                    raise HierarchyFormatError(
+                        f"expected 1 or 2 fields, got {len(fields)}", lineno, path
+                    )
+    except UnicodeDecodeError:
+        raise HierarchyFormatError.undecodable(path) from None
     return Hierarchy(tags, edges)
 
 

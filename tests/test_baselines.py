@@ -76,13 +76,16 @@ def test_heymann_high_threshold_flattens_the_tree():
 
 
 def test_cosine_similarity_values():
-    sims = _nested().adj  # just to pin index layout
     network = _nested()
     a = network.names.index("a")
     b = network.names.index("b")
+    # one similarity per stored count, in the same CSR positions
+    sims = cosine_similarities(network)
+    lo, hi = network.indptr[a], network.indptr[a + 1]
+    row = dict(zip(network.indices[lo:hi].tolist(), sims[lo:hi].tolist()))
     # Q_ab / sqrt(Q_a * Q_b) = 75 / sqrt(175 * 75)
-    assert cosine_similarities(network)[a][b] == pytest.approx(75 / (175 * 75) ** 0.5)
-    assert sims[a][b] == 75
+    assert row[b] == pytest.approx(75 / (175 * 75) ** 0.5)
+    assert network.adj[a][b] == 75
 
 
 def test_schmitz_nested_corpus_prunes_transitive_link():
@@ -158,3 +161,12 @@ def test_schmitz_default_params():
     params = SchmitzParams()
     assert params.t_subsume == 0.8
     assert params.min_cooccurrence == 10
+
+
+def test_heymann_similarity_ties_go_to_the_earliest_inserted():
+    # c is equally similar to a and b; a and b tie on degree and frequency,
+    # so a (the smaller id) is inserted first and wins the tie
+    objects = [["a", "c"]] * 10 + [["b", "c"]] * 10 + [["a", "d"]] * 20
+    objects += [["b", "d"]] * 20 + [["d"]] * 20
+    h = extract_heymann(_network(objects))
+    assert set(h.edges) == {(SYNTHETIC_ROOT, "d"), ("d", "a"), ("d", "b"), ("a", "c")}

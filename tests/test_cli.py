@@ -248,3 +248,80 @@ def test_version_flag(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.startswith("hiertag ")
+
+
+def _manifest(path):
+    return dict(line.split("\t", 1) for line in path.read_text().splitlines())
+
+
+def test_nested_manifest_replay_is_rejected(tmp_path, capsys):
+    manifest = tmp_path / "loop.manifest"
+    manifest.write_text(f"subcommand\ttree\nargv\t--manifest\t{manifest}\n", encoding="utf-8")
+    code = main(["--manifest", str(manifest)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested replay" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_extract_manifest_records_corpus_and_network_sizes(tmp_path):
+    corpus = _write_nested_corpus(tmp_path / "corpus.tsv")
+    for algorithm in ("a", "b", "heymann", "schmitz"):
+        out = tmp_path / f"{algorithm}.tsv"
+        assert main(["extract", corpus, "--algorithm", algorithm, "--out", str(out)]) == 0
+        manifest = _manifest(tmp_path / f"{algorithm}.tsv.manifest")
+        assert (manifest["objects"], manifest["tags"], manifest["pairs"]) == ("175", "3", "3")
+        assert ("pairs_kept" in manifest) == (algorithm == "b")
+    # a-b, a-c and b-c all cover half of the rarer tag's objects, so all survive
+    assert _manifest(tmp_path / "b.tsv.manifest")["pairs_kept"] == "3"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"a\tb\nc\t\td\n", "line 2: empty tag field"),
+        (
+            b"a\tb\n# note\nc\td\nab\xffc\td\n",
+            "line 4: 'utf-8' codec can't decode byte 0xff in position 2",
+        ),
+    ],
+)
+def test_extract_errors_name_the_file_and_line(tmp_path, capsys, content, message):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_bytes(content)
+    out = tmp_path / "h.tsv"
+    code = main(["extract", str(corpus), "--algorithm", "a", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus}: {message}")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_extract_with_ids_reports_object_without_tags(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("o1\ta\tb\no2\n", encoding="utf-8")
+    code = main(["extract", str(corpus), "--algorithm", "a", "--with-ids"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {corpus}: line 2: object with no tags")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"a\tb\nb\tc\td\n", "line 2: expected 1 or 2 fields, got 3"),
+        (
+            b"a\tb\r\nb\tc\r\n\xe9\tc\r\n",
+            "line 3: 'utf-8' codec can't decode byte 0xe9 in position 0",
+        ),
+    ],
+)
+def test_evaluate_errors_name_the_file_and_line(tmp_path, capsys, content, message):
+    exact = _write_chain(tmp_path / "exact.tsv")
+    recon = tmp_path / "recon.tsv"
+    recon.write_bytes(content)
+    code = main(["evaluate", exact, str(recon), "--out", str(tmp_path / "report.tsv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {recon}: {message}")
+    assert len(err.strip().splitlines()) == 1

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -8,9 +10,16 @@ from hiertag.corpus import (
     CorpusFormatError,
     build_cooccurrence,
     corpus_from_object_lists,
-    count_pair_shard,
     load_corpus,
 )
+
+
+def brute_force_pair_counts(objects):
+    """Q_ij for i < j by enumerating every object's tag pairs."""
+    counts = Counter()
+    for obj in objects:
+        counts.update(combinations(sorted(obj), 2))
+    return counts
 
 
 def _weight(network, a, b):
@@ -133,9 +142,9 @@ def test_object_order_does_not_change_the_network():
 def test_shard_counts_merge_to_single_pass():
     rng = random.Random(3)
     corpus = corpus_from_object_lists(_random_objects(rng, 20, 300))
-    whole = count_pair_shard(corpus.objects)
-    merged = count_pair_shard(corpus.objects[:100])
-    merged.update(count_pair_shard(corpus.objects[100:]))
+    whole = {(i, j): w for i, j, w in build_cooccurrence(corpus).pairs()}
+    merged = brute_force_pair_counts(corpus.objects[:100])
+    merged.update(brute_force_pair_counts(corpus.objects[100:]))
     assert whole == merged
 
 

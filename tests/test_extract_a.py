@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from hiertag.corpus import CooccurrenceNetwork, build_cooccurrence, corpus_from_object_lists
@@ -94,6 +95,10 @@ def test_omega_must_be_a_positive_fraction():
 
 
 def test_empty_network_is_rejected():
-    empty = CooccurrenceNetwork(names=(), q_total=0, freq=(), adj=())
+    no_counts = np.zeros(0, dtype=np.int64)
+    empty = CooccurrenceNetwork(
+        names=(), q_total=0, freq=(), indptr=np.zeros(1, dtype=np.int64),
+        indices=no_counts, weights=no_counts,
+    )
     with pytest.raises(ValueError, match="empty network"):
         extract_a(empty)

@@ -1,0 +1,122 @@
+"""Property tests of the CSR co-occurrence network and its vectorized kernels.
+
+Each property compares an array kernel with the plain per-pair definition
+on random small corpora, where ties and degenerate marginals are common.
+"""
+from __future__ import annotations
+
+from collections import Counter
+from itertools import combinations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hiertag.corpus import build_cooccurrence, corpus_from_object_lists
+from hiertag.extract_b import centrality_rank, extract_b, prune_network
+from hiertag.stats import z_from_counts, z_scores
+
+TAGS = [f"t{k}" for k in range(12)]
+
+corpora = st.lists(
+    st.lists(st.sampled_from(TAGS), min_size=1, max_size=5), min_size=1, max_size=80
+)
+
+# timing varies too much across hosts for hypothesis' per-example deadline
+relaxed = settings(deadline=None)
+
+
+def _network(objects):
+    return build_cooccurrence(corpus_from_object_lists(objects))
+
+
+@relaxed
+@given(corpora)
+def test_csr_counts_equal_brute_force_pair_counts(objects):
+    corpus = corpus_from_object_lists(objects)
+    network = build_cooccurrence(corpus)
+    expected = Counter()
+    for obj in corpus.objects:
+        expected.update(combinations(obj, 2))
+    assert {(i, j): w for i, j, w in network.pairs()} == dict(expected)
+    assert network.n_pairs == len(expected)
+    # layout: ascending partners per row, no diagonal, every pair stored both ways
+    for i in range(network.n_tags):
+        row = network.indices[network.indptr[i] : network.indptr[i + 1]]
+        assert np.all(np.diff(row) > 0)
+        assert i not in row
+    assert {(i, j) for i, nbrs in enumerate(network.adj) for j in nbrs} == {
+        (j, i) for i, nbrs in enumerate(network.adj) for j in nbrs
+    }
+
+
+@st.composite
+def count_arrays(draw):
+    q_total = draw(st.integers(1, 10**6))
+    size = draw(st.integers(0, 30))
+    q_i, q_j, q_ij = [], [], []
+    for _ in range(size):
+        a = draw(st.integers(0, q_total))
+        b = draw(st.integers(0, q_total))
+        q_i.append(a)
+        q_j.append(b)
+        q_ij.append(draw(st.integers(0, min(a, b))))
+    return q_total, q_i, q_j, q_ij
+
+
+@relaxed
+@given(count_arrays())
+def test_vectorized_z_is_bit_identical_to_scalar_z(counts):
+    q_total, q_i, q_j, q_ij = counts
+    got = z_scores(q_total, *(np.array(a, dtype=np.int64) for a in (q_i, q_j, q_ij)))
+    expected = np.array([z_from_counts(q_total, a, b, c) for a, b, c in zip(q_i, q_j, q_ij)])
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@relaxed
+@given(corpora)
+def test_vectorized_z_over_network_is_bit_identical(objects):
+    network = _network(objects)
+    freq = np.asarray(network.freq)
+    rows, cols, w = network.rows, network.indices, network.weights
+    got = z_scores(network.q_total, freq[rows], freq[cols], w)
+    expected = np.array(
+        [
+            z_from_counts(network.q_total, network.freq[i], network.freq[j], q)
+            for i, j, q in zip(rows.tolist(), cols.tolist(), w.tolist())
+        ]
+    )
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@relaxed
+@given(corpora, st.floats(-5.0, 15.0))
+def test_prune_mask_equals_scalar_predicate(objects, z_threshold):
+    network = _network(objects)
+    q, freq = network.q_total, network.freq
+    expected = {
+        (i, j): w
+        for i, j, w in network.pairs()
+        if w >= 0.5 * freq[i]
+        or w >= 0.5 * freq[j]
+        or z_from_counts(q, freq[i], freq[j], w) > z_threshold
+    }
+    pruned = prune_network(network, z_threshold)
+    assert {(i, j): w for i, j, w in pruned.pairs()} == expected
+    assert pruned.n_pairs == len(expected)
+    assert pruned.adj == tuple(
+        {j: w for j, w in nbrs.items() if (min(i, j), max(i, j)) in expected}
+        for i, nbrs in enumerate(network.adj)
+    )
+
+
+@relaxed
+@given(corpora)
+def test_extract_b_forest_parents_outrank_children(objects):
+    network = _network(objects)
+    forest = extract_b(network)
+    assert forest.is_forest()
+    assert forest.tags == tuple(sorted(network.names))
+    order = centrality_rank(prune_network(network, 10.0))
+    rank = {network.names[i]: pos for pos, i in enumerate(order)}
+    assert all(rank[parent] > rank[child] for parent, child in forest.edges)
