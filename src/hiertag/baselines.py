@@ -10,10 +10,10 @@ transitive candidates, and resolves multi-parent conflicts.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import CooccurrenceNetwork
 from .hierarchy import Hierarchy
@@ -42,21 +42,45 @@ def cosine_similarities(network: CooccurrenceNetwork) -> np.ndarray:
     return network.weights / np.sqrt(freq[network.rows] * freq[network.indices])
 
 
-def _closeness(adj: list[list[int]], n: int) -> list[float]:
-    scores = []
-    for s in range(n):
-        dist = {s: 0}
-        queue = deque([s])
-        total = 0
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    total += dist[v]
-                    queue.append(v)
-        reached = len(dist) - 1
-        scores.append(reached / total if total else 0.0)
+# (source, tag) pairs one block of breadth-first searches holds at once, so a
+# block's visited set and frontier stay a few MB however many tags there are
+CLOSENESS_BLOCK_ENTRIES = 1 << 18
+
+
+def _closeness(graph: sparse.csr_matrix) -> np.ndarray:
+    """Unweighted closeness of every tag: the number of tags it reaches over
+    the sum of their hop distances, 0 for a tag that reaches none.
+
+    Breadth-first search from a block of sources at a time: the frontier is a
+    sparse (source, tag) matrix, and one product with the graph moves every
+    search in the block one hop further.
+    """
+    n = graph.shape[0]
+    block = max(1, CLOSENESS_BLOCK_ENTRIES // n)
+    scores = np.zeros(n)
+    for lo in range(0, n, block):
+        sources = np.arange(lo, min(lo + block, n))
+        b = len(sources)
+        seen = np.zeros((b, n), dtype=bool)
+        seen[np.arange(b), sources] = True
+        total = np.zeros(b, dtype=np.int64)
+        # the frontier row by row: row pointers and the tags of each row
+        indptr, col = np.arange(b + 1), sources
+        hops = 0
+        while len(col):
+            hops += 1
+            frontier = sparse.csr_matrix((np.ones(len(col)), col, indptr), shape=(b, n))
+            # the product stores each (source, tag) pair once
+            step = frontier @ graph
+            row = np.repeat(np.arange(b), np.diff(step.indptr))
+            new = ~seen[row, step.indices]
+            row, col = row[new], step.indices[new]
+            seen[row, col] = True
+            found = np.bincount(row, minlength=b)
+            total += hops * found
+            indptr = np.concatenate(([0], np.cumsum(found)))
+        reached = seen.sum(axis=1) - 1
+        np.divide(reached, total, out=scores[lo : lo + b], where=total > 0)
     return scores
 
 
@@ -83,10 +107,10 @@ def extract_heymann(
     if params.centrality_kind == "degree-strength":
         centrality = np.bincount(rows[similar], minlength=n)
     else:
-        graph: list[list[int]] = [[] for _ in range(n)]
-        for i, j in zip(rows[similar].tolist(), cols[similar].tolist()):
-            graph[i].append(j)
-        centrality = _closeness(graph, n)
+        kept = network.masked(similar)
+        centrality = _closeness(
+            sparse.csr_matrix((kept.weights, kept.indices, kept.indptr), shape=(n, n))
+        )
     # descending (centrality, frequency, -id)
     order = np.lexsort((-np.arange(n), network.freq, centrality))[::-1]
     position = np.empty(n, dtype=np.int64)

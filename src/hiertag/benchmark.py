@@ -3,16 +3,15 @@
 Each object draws its first tag from a frequency profile; every further tag
 either follows an undirected random walk started at that first tag (with
 probability p_random_walk) or is an independent profile draw. The tag list
-collapses to a set. Generation is seeded and splits into fixed-size chunks
-with independent derived substreams, so output is byte-identical for a fixed
-seed no matter how many worker threads assemble it.
+collapses to a set. Generation is seeded and splits into fixed-size chunks,
+each a seeded cell with its own derived substream, so the objects of a fixed
+seed are byte-identical and a shorter run is a prefix of a longer one.
 """
 from __future__ import annotations
 
 import math
 import random
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
@@ -169,32 +168,18 @@ def _make_chunk(
     return out
 
 
-def iter_object_tags(
-    h: Hierarchy, config: BenchmarkConfig, threads: int = 1
-) -> Iterator[list[str]]:
+def iter_object_tags(h: Hierarchy, config: BenchmarkConfig) -> Iterator[list[str]]:
     """Objects in generation order, as lists of distinct tag names."""
     profile = frequency_profile(
         h, config.frequency_profile, rng=random.Random(derive_seed(config.seed, "profile"))
     )
     cum = list(accumulate(profile[t] for t in h.tags))
     nbrs = h.undirected_neighbors()
-    n_chunks = (config.object_count + CHUNK_OBJECTS - 1) // CHUNK_OBJECTS
-    sizes = [
-        min(CHUNK_OBJECTS, config.object_count - ci * CHUNK_OBJECTS) for ci in range(n_chunks)
-    ]
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(
-                lambda ci: _make_chunk(h.tags, cum, nbrs, config, ci, sizes[ci]),
-                range(n_chunks),
-            )
-            for chunk in chunks:
-                yield from chunk
-    else:
-        for ci in range(n_chunks):
-            yield from _make_chunk(h.tags, cum, nbrs, config, ci, sizes[ci])
+    for ci, start in enumerate(range(0, config.object_count, CHUNK_OBJECTS)):
+        count = min(CHUNK_OBJECTS, config.object_count - start)
+        yield from _make_chunk(h.tags, cum, nbrs, config, ci, count)
 
 
-def generate(h: Hierarchy, config: BenchmarkConfig, threads: int = 1) -> TagCorpus:
+def generate(h: Hierarchy, config: BenchmarkConfig) -> TagCorpus:
     """Generate a benchmark corpus from a hierarchy."""
-    return corpus_from_object_lists(iter_object_tags(h, config, threads=threads))
+    return corpus_from_object_lists(iter_object_tags(h, config))

@@ -4,14 +4,13 @@ Verb subcommands: generate, extract, evaluate, curve, randomize, tree. Every
 run emits exactly one manifest ("key TAB value" lines) recording the resolved
 parameters, inputs, outputs, toolkit version and wall-clock duration; the
 stored argv line lets `hiertag --manifest FILE` replay the run (a manifest
-whose argv is itself a replay is rejected). Seeded
-subcommands are byte-reproducible; `--threads` (or the HIERTAG_THREADS
-environment variable) never changes results, only wall time.
+whose argv is itself a replay is rejected). Seeded subcommands are
+byte-reproducible: their random work is split into seeded cells, each with
+its own derived stream.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 import time
@@ -44,23 +43,7 @@ from .hierarchy import (
     rewire,
 )
 from .metrics import decay_curve, evaluate_hierarchies
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        if value < 1:
-            raise ValueError("--threads must be >= 1")
-        return value
-    env = os.environ.get("HIERTAG_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"invalid HIERTAG_THREADS value {env!r}") from None
-        if n < 1:
-            raise ValueError(f"invalid HIERTAG_THREADS value {env!r}")
-        return n
-    return 1
+from .textio import TextFormatError
 
 
 def _write_text(out: str, text: str) -> None:
@@ -72,11 +55,14 @@ def _write_text(out: str, text: str) -> None:
 
 
 def _read_manifest_argv(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.rstrip("\n").partition("\t")
-            if key == "argv":
-                return value.split("\t")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                key, _, value = line.rstrip("\n").partition("\t")
+                if key == "argv":
+                    return value.split("\t")
+    except UnicodeDecodeError:
+        raise TextFormatError.undecodable(path) from None
     raise ValueError(f"manifest {path!r} has no argv line to replay")
 
 
@@ -90,7 +76,6 @@ def _grid_from_step(step: float) -> tuple[float, ...]:
 
 
 def _cmd_generate(args: argparse.Namespace) -> list[tuple[str, str]]:
-    threads = _resolve_threads(args.threads)
     h = load_hierarchy(args.hierarchy)
     config = BenchmarkConfig(
         object_count=args.objects,
@@ -100,9 +85,7 @@ def _cmd_generate(args: argparse.Namespace) -> list[tuple[str, str]]:
         frequency_profile=parse_profile(args.profile),
         seed=args.seed,
     )
-    lines = (
-        "\t".join(tags) + "\n" for tags in iter_object_tags(h, config, threads=threads)
-    )
+    lines = ("\t".join(tags) + "\n" for tags in iter_object_tags(h, config))
     if args.out == "-":
         for line in lines:
             sys.stdout.write(line)
@@ -117,20 +100,17 @@ def _cmd_generate(args: argparse.Namespace) -> list[tuple[str, str]]:
         ("walk", args.walk),
         ("profile", args.profile),
         ("seed", str(args.seed)),
-        ("threads", str(threads)),
         ("out", args.out),
     ]
 
 
 def _cmd_extract(args: argparse.Namespace) -> list[tuple[str, str]]:
-    threads = _resolve_threads(args.threads)
     corpus = load_corpus(args.input, with_ids=args.with_ids)
     network = build_cooccurrence(corpus)
     entries = [
         ("input", args.input),
         ("with_ids", str(args.with_ids).lower()),
         ("algorithm", args.algorithm),
-        ("threads", str(threads)),
         ("objects", str(corpus.n_objects)),
         ("tags", str(corpus.n_tags)),
         ("pairs", str(network.n_pairs)),
@@ -172,7 +152,6 @@ def _cmd_extract(args: argparse.Namespace) -> list[tuple[str, str]]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> list[tuple[str, str]]:
-    threads = _resolve_threads(args.threads)
     exact = load_hierarchy(args.exact)
     recon = load_hierarchy(args.recon)
     if SYNTHETIC_ROOT in recon.tags and SYNTHETIC_ROOT not in exact.tags:
@@ -185,7 +164,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[tuple[str, str]]:
         curve_runs=args.curve_runs,
         curve_grid=_grid_from_step(args.curve_grid_step),
         seed=args.seed,
-        threads=threads,
     )
     _write_text(args.out, report.to_text())
     entries = [
@@ -193,7 +171,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[tuple[str, str]]:
         ("recon", args.recon),
         ("lmi", str(args.lmi).lower()),
         ("seed", str(args.seed)),
-        ("threads", str(threads)),
         ("out", args.out),
     ]
     if args.lmi:
@@ -204,7 +181,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[tuple[str, str]]:
 
 
 def _cmd_curve(args: argparse.Namespace) -> list[tuple[str, str]]:
-    threads = _resolve_threads(args.threads)
     h = load_hierarchy(args.input)
     curve = decay_curve(
         h,
@@ -212,7 +188,6 @@ def _cmd_curve(args: argparse.Namespace) -> list[tuple[str, str]]:
         runs=args.runs,
         grid=_grid_from_step(args.grid_step),
         seed=args.seed,
-        threads=threads,
     )
     _write_text(args.out, curve.to_text())
     return [
@@ -221,7 +196,6 @@ def _cmd_curve(args: argparse.Namespace) -> list[tuple[str, str]]:
         ("runs", str(args.runs)),
         ("grid_step", str(args.grid_step)),
         ("seed", str(args.seed)),
-        ("threads", str(threads)),
         ("out", args.out),
     ]
 
@@ -253,20 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hiertag {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p: argparse.ArgumentParser, threads: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default="-", help="output file ('-' for stdout)")
         p.add_argument(
             "--manifest-out",
             default=None,
             help="manifest file (default: OUT.manifest, or stderr when writing to stdout)",
         )
-        if threads:
-            p.add_argument(
-                "--threads",
-                type=int,
-                default=None,
-                help="worker threads (default: HIERTAG_THREADS or 1; never changes results)",
-            )
+        # accepted and ignored, so manifests of runs that passed it still replay
+        p.add_argument("--threads", help=argparse.SUPPRESS)
 
     p = sub.add_parser("generate", help="generate a benchmark corpus from a hierarchy")
     p.add_argument("--hierarchy", required=True, help="edge-list file of the source hierarchy")
@@ -332,12 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, required=True)
     p.add_argument("--order", choices=REWIRING_ORDERS, default="random")
     p.add_argument("--seed", type=int, default=0)
-    common(p, threads=False)
+    common(p)
     p.set_defaults(handler=_cmd_randomize)
 
     p = sub.add_parser("tree", help="write a balanced binary tree edge list")
     p.add_argument("--levels", type=int, required=True)
-    common(p, threads=False)
+    common(p)
     p.set_defaults(handler=_cmd_tree)
 
     return parser

@@ -179,12 +179,8 @@ class CooccurrenceNetwork:
         )
 
 
-def build_cooccurrence(corpus: TagCorpus, threads: int = 1) -> CooccurrenceNetwork:
-    """Count Q_ij for every tag pair as the off-diagonal of X^T X.
-
-    `threads` is accepted so existing callers keep working; counting is one
-    sparse product and runs in a single thread.
-    """
+def build_cooccurrence(corpus: TagCorpus) -> CooccurrenceNetwork:
+    """Count Q_ij for every tag pair as the off-diagonal of X^T X."""
     n = corpus.n_tags
     starts = np.zeros(corpus.n_objects + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, corpus.objects), dtype=np.int64), out=starts[1:])

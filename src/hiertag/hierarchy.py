@@ -133,6 +133,8 @@ def load_hierarchy(path: str) -> Hierarchy:
                     parent, child = fields
                     if not parent or not child:
                         raise HierarchyFormatError("empty tag in edge", lineno, path)
+                    if parent == child:
+                        raise HierarchyFormatError(f"self-loop on tag {parent!r}", lineno, path)
                     tags.update((parent, child))
                     edges.append((parent, child))
                 else:
@@ -141,7 +143,10 @@ def load_hierarchy(path: str) -> Hierarchy:
                     )
     except UnicodeDecodeError:
         raise HierarchyFormatError.undecodable(path) from None
-    return Hierarchy(tags, edges)
+    try:
+        return Hierarchy(tags, edges)
+    except CycleError as exc:
+        raise CycleError(f"{path}: {exc}") from None
 
 
 def hierarchy_to_text(h: Hierarchy) -> str:

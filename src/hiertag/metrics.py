@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .hierarchy import Hierarchy, descendant_table, rewire
@@ -185,12 +184,11 @@ def decay_curve(
     runs: int = 10,
     grid: tuple[float, ...] | None = None,
     seed: int = 0,
-    threads: int = 1,
 ) -> DecayCurve:
     """Mean NMI against rewired copies of `exact`, per rewiring fraction.
 
-    Each (fraction, run) cell uses an independent seeded stream, so the curve
-    is reproducible bit-for-bit for a fixed seed regardless of `threads`. The
+    Each (fraction, run) pair is a seeded cell with its own derived stream,
+    so the curve is reproducible bit-for-bit for a fixed seed. The
     per-fraction means are made non-increasing by isotonic regression.
     """
     if runs < 1:
@@ -198,21 +196,13 @@ def decay_curve(
     fs = DEFAULT_GRID if grid is None else tuple(grid)
     if not fs or any(not 0.0 <= f <= 1.0 for f in fs) or list(fs) != sorted(fs):
         raise ValueError("grid must be ascending fractions within [0, 1]")
-
-    def cell(args: tuple[int, int]) -> float:
-        fi, run = args
-        rng = random.Random(derive_seed(seed, "rewire", fi, run))
-        return nmi(exact, rewire(exact, fs[fi], order, rng))
-
-    cells = [(fi, run) for fi in range(len(fs)) for run in range(runs)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(cell, cells))
-    else:
-        scores = [cell(c) for c in cells]
-    means = [
-        sum(scores[fi * runs : (fi + 1) * runs]) / runs for fi in range(len(fs))
-    ]
+    means = []
+    for fi, f in enumerate(fs):
+        scores = [
+            nmi(exact, rewire(exact, f, order, random.Random(derive_seed(seed, "rewire", fi, run))))
+            for run in range(runs)
+        ]
+        means.append(sum(scores) / runs)
     return DecayCurve(fs, tuple(_isotonic_non_increasing(means)), runs)
 
 
@@ -272,14 +262,11 @@ def evaluate_hierarchies(
     curve_runs: int = 10,
     curve_grid: tuple[float, ...] | None = None,
     seed: int = 0,
-    threads: int = 1,
 ) -> QualityReport:
     ratios = link_ratios(exact, recon)
     score = nmi(exact, recon)
     level = None
     if with_lmi:
-        curve = decay_curve(
-            exact, order=curve_order, runs=curve_runs, grid=curve_grid, seed=seed, threads=threads
-        )
+        curve = decay_curve(exact, order=curve_order, runs=curve_runs, grid=curve_grid, seed=seed)
         level = lmi(score, curve)
     return QualityReport(ratios, score, level, exact.n_tags, recon.n_edges)

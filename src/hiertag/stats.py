@@ -104,17 +104,16 @@ class CentralityVector:
 
 
 def eigenvector_centrality(
-    network: "CooccurrenceNetwork", iterations: int = 100, tol: float | None = None
+    network: "CooccurrenceNetwork", iterations: int = 100
 ) -> CentralityVector:
     """Power iteration on the weighted co-occurrence adjacency.
 
     Starts from the strength vector (sum of incident weights), multiplies by
     the network's CSR count matrix (as float64, summing each row in
     ascending column order) and renormalizes by the plain sum, for exactly
-    `iterations` rounds (or until the L1 change drops below `tol`, if
-    given). An all-zero weight matrix yields the uniform vector 1/N; tags
-    isolated from the component carrying the dominant eigenvalue converge
-    to 0.
+    `iterations` rounds. An all-zero weight matrix yields the uniform vector
+    1/N; tags isolated from the component carrying the dominant eigenvalue
+    converge to 0.
     """
     n = network.n_tags
     if n == 0:
@@ -128,13 +127,7 @@ def eigenvector_centrality(
     )
     x = np.asarray(mat.sum(axis=1)).ravel()
     x /= x.sum()
-    done = 0
     for _ in range(iterations):
-        nxt = mat @ x
-        nxt /= nxt.sum()
-        done += 1
-        if tol is not None and np.abs(nxt - x).sum() < tol:
-            x = nxt
-            break
-        x = nxt
-    return CentralityVector(x, done)
+        x = mat @ x
+        x /= x.sum()
+    return CentralityVector(x, iterations)

@@ -26,7 +26,6 @@ from hiertag.stats import z_from_counts
 
 TREE = binary_tree(10)
 SEEDS = (1, 2, 3)
-THREADS = 4
 
 
 def _report(criterion: str, failures: list[str], detail: str) -> None:
@@ -47,7 +46,7 @@ def _benchmark_scores(profile: tuple) -> dict[str, list[float]]:
             frequency_profile=profile,
             seed=seed,
         )
-        network = build_cooccurrence(generate(TREE, config, threads=THREADS), threads=THREADS)
+        network = build_cooccurrence(generate(TREE, config))
         report_b = evaluate_hierarchies(TREE, extract_b(network))
         report_a = evaluate_hierarchies(TREE, extract_a(network))
         report_h = evaluate_hierarchies(TREE, strip_synthetic_root(extract_heymann(network)))
@@ -124,7 +123,7 @@ def test_criterion_3_decay_curve_ordering():
     started = time.perf_counter()
     grid = tuple(i / 10 for i in range(11))
     curves = {
-        order: decay_curve(TREE, order=order, runs=10, grid=grid, seed=0, threads=THREADS)
+        order: decay_curve(TREE, order=order, runs=10, grid=grid, seed=0)
         for order in ("top-first", "random", "leaf-first")
     }
     elapsed = time.perf_counter() - started
@@ -268,7 +267,6 @@ def test_criterion_7_scaling():
         scale: generate(
             small_tree,
             BenchmarkConfig(object_count=20_000 * scale, p_random_walk=0.5, seed=5),
-            threads=THREADS,
         )
         for scale in (1, 10)
     }
@@ -304,7 +302,7 @@ def test_criterion_8_external_corpus_reproduction():
         pytest.skip(
             "set HIERTAG_GO_CORPUS and HIERTAG_GO_DAG to run the external reproduction"
         )
-    network = build_cooccurrence(load_corpus(corpus_path), threads=THREADS)
+    network = build_cooccurrence(load_corpus(corpus_path))
     exact = load_hierarchy(dag_path)
     ratios = evaluate_hierarchies(exact, extract_a(network)).ratios
     failures = []

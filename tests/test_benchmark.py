@@ -6,9 +6,11 @@ import pytest
 from scipy import stats
 
 from hiertag.benchmark import (
+    CHUNK_OBJECTS,
     BenchmarkConfig,
     frequency_profile,
     generate,
+    iter_object_tags,
     parse_count_distribution,
     parse_profile,
     parse_walk_length,
@@ -105,14 +107,15 @@ def test_generate_is_deterministic():
     assert a.objects == b.objects
 
 
-def test_generate_thread_count_does_not_change_output():
+def test_shorter_run_is_a_prefix_of_a_longer_one():
+    # each chunk draws from its own seeded stream, so object k does not depend
+    # on how many objects follow it; both counts end part-way through a chunk
     h = binary_tree(5)
-    # enough objects to span several generation chunks
-    config = BenchmarkConfig(object_count=5000, p_random_walk=0.5, seed=2)
-    serial = generate(h, config, threads=1)
-    parallel = generate(h, config, threads=4)
-    assert serial.names == parallel.names
-    assert serial.objects == parallel.objects
+    n, m = 2 * CHUNK_OBJECTS + 100, 4 * CHUNK_OBJECTS + 7
+    short = list(iter_object_tags(h, BenchmarkConfig(object_count=n, p_random_walk=0.5, seed=2)))
+    long = list(iter_object_tags(h, BenchmarkConfig(object_count=m, p_random_walk=0.5, seed=2)))
+    assert len(short) == n and len(long) == m
+    assert long[:n] == short
 
 
 def test_generate_respects_object_count_and_tag_universe():

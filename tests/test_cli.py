@@ -68,9 +68,11 @@ def test_generate_is_byte_reproducible_across_threads(tmp_path):
     args = ["generate", "--hierarchy", str(tree), "--objects", "300", "--seed", "9"]
     one = tmp_path / "one.tsv"
     two = tmp_path / "two.tsv"
-    main(args + ["--out", str(one), "--threads", "1"])
-    main(args + ["--out", str(two), "--threads", "3"])
+    assert main(args + ["--out", str(one)]) == 0
+    # --threads is hidden and ignored; it is accepted so old manifests replay
+    assert main(args + ["--out", str(two), "--threads", "3"]) == 0
     assert one.read_bytes() == two.read_bytes()
+    assert "threads" not in _manifest(tmp_path / "two.tsv.manifest")
 
 
 def test_extract_every_algorithm(tmp_path):
@@ -216,31 +218,30 @@ def test_unknown_algorithm_exits_with_usage_error(tmp_path):
     assert excinfo.value.code == 2
 
 
-def test_invalid_thread_count_reports_error(tmp_path, capsys):
+def test_threads_env_variable_is_ignored(tmp_path, monkeypatch):
     corpus = _write_nested_corpus(tmp_path / "corpus.tsv")
-    code = main(["extract", corpus, "--algorithm", "a", "--threads", "0"])
-    assert code == 1
-    assert "--threads" in capsys.readouterr().err
-
-
-def test_threads_env_variable_is_picked_up(tmp_path, monkeypatch):
-    monkeypatch.setenv("HIERTAG_THREADS", "2")
-    corpus = _write_nested_corpus(tmp_path / "corpus.tsv")
+    plain = tmp_path / "plain.tsv"
+    assert main(["extract", corpus, "--algorithm", "a", "--out", str(plain)]) == 0
+    monkeypatch.setenv("HIERTAG_THREADS", "many")
     out = tmp_path / "h.tsv"
     assert main(["extract", corpus, "--algorithm", "a", "--out", str(out)]) == 0
-    manifest = dict(
-        line.split("\t", 1)
-        for line in (tmp_path / "h.tsv.manifest").read_text().splitlines()
-    )
-    assert manifest["threads"] == "2"
+    assert out.read_bytes() == plain.read_bytes()
+    assert "threads" not in _manifest(tmp_path / "h.tsv.manifest")
 
 
-def test_bad_threads_env_variable_reports_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HIERTAG_THREADS", "many")
-    corpus = _write_nested_corpus(tmp_path / "corpus.tsv")
-    code = main(["extract", corpus, "--algorithm", "a", "--out", str(tmp_path / "h.tsv")])
-    assert code == 1
-    assert "HIERTAG_THREADS" in capsys.readouterr().err
+def test_manifest_with_threads_replays_byte_identically(tmp_path):
+    tree = tmp_path / "tree.tsv"
+    main(["tree", "--levels", "4", "--out", str(tree)])
+    args = ["curve", str(tree), "--runs", "2", "--seed", "3"]
+    first = tmp_path / "first.tsv"
+    assert main(args + ["--out", str(first)]) == 0
+    replayed = tmp_path / "replayed.tsv"
+    # a manifest as written by a release that still had worker threads
+    stored = tmp_path / "old.manifest"
+    argv = "\t".join(args + ["--threads", "4", "--out", str(replayed)])
+    stored.write_text(f"subcommand\tcurve\nthreads\t4\nargv\t{argv}\n", encoding="utf-8")
+    assert main(["--manifest", str(stored)]) == 0
+    assert replayed.read_bytes() == first.read_bytes()
 
 
 def test_version_flag(capsys):
@@ -261,6 +262,16 @@ def test_nested_manifest_replay_is_rejected(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nested replay" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_undecodable_manifest_error_names_the_file(tmp_path, capsys):
+    manifest = tmp_path / "bad.manifest"
+    manifest.write_bytes(b"subcommand\ttree\xff\nargv\ttree\t--levels\t2\n")
+    code = main(["--manifest", str(manifest)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: line 1: 'utf-8' codec can't decode byte 0xff")
     assert len(err.strip().splitlines()) == 1
 
 
@@ -314,6 +325,8 @@ def test_extract_with_ids_reports_object_without_tags(tmp_path, capsys):
             b"a\tb\r\nb\tc\r\n\xe9\tc\r\n",
             "line 3: 'utf-8' codec can't decode byte 0xe9 in position 0",
         ),
+        (b"a\tb\nb\tb\n", "line 2: self-loop on tag 'b'"),
+        (b"a\tb\nb\ta\n", "hierarchy contains a directed cycle through ['a', 'b']"),
     ],
 )
 def test_evaluate_errors_name_the_file_and_line(tmp_path, capsys, content, message):

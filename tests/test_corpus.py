@@ -148,12 +148,6 @@ def test_shard_counts_merge_to_single_pass():
     assert whole == merged
 
 
-def test_threads_do_not_change_the_network():
-    rng = random.Random(5)
-    corpus = corpus_from_object_lists(_random_objects(rng, 30, 500))
-    assert build_cooccurrence(corpus, threads=1).adj == build_cooccurrence(corpus, threads=3).adj
-
-
 def test_cooccurrence_bounded_by_marginals():
     rng = random.Random(13)
     corpus = corpus_from_object_lists(_random_objects(rng, 12, 250))

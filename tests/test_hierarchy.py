@@ -45,8 +45,9 @@ def test_comments_and_isolated_tags(tmp_path):
 def test_two_cycle_rejected(tmp_path):
     path = tmp_path / "h.tsv"
     path.write_text("a\tb\nb\ta\n")
-    with pytest.raises(CycleError, match="cycle"):
+    with pytest.raises(CycleError, match="cycle") as err:
         load_hierarchy(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_malformed_line_reports_number(tmp_path):

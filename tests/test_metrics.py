@@ -14,6 +14,7 @@ from hiertag.metrics import (
     nmi,
     partition_nmi,
 )
+from hiertag.seeds import derive_seed
 
 
 def _chain():
@@ -132,12 +133,23 @@ def test_decay_curve_starts_at_one_and_never_increases():
         assert later <= earlier + 1e-12
 
 
-def test_decay_curve_deterministic_and_thread_independent():
+def test_decay_curve_means_come_from_seeded_cells():
     h = binary_tree(5)
-    a = decay_curve(h, order="leaf-first", runs=4, seed=11)
-    b = decay_curve(h, order="leaf-first", runs=4, seed=11)
-    c = decay_curve(h, order="leaf-first", runs=4, seed=11, threads=3)
-    assert a.values == b.values == c.values
+    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+    runs = 4
+    means = [
+        sum(
+            nmi(h, rewire(h, f, "leaf-first", random.Random(derive_seed(11, "rewire", fi, run))))
+            for run in range(runs)
+        )
+        / runs
+        for fi, f in enumerate(grid)
+    ]
+    # already non-increasing, so isotonic smoothing leaves the means as they are
+    assert all(earlier >= later for earlier, later in zip(means, means[1:]))
+    curve = decay_curve(h, order="leaf-first", runs=runs, grid=grid, seed=11)
+    assert list(curve.values) == means
+    assert decay_curve(h, order="leaf-first", runs=runs, grid=grid, seed=11) == curve
 
 
 def test_fully_rewired_tree_loses_similarity():

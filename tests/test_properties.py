@@ -1,19 +1,28 @@
-"""Property tests of the CSR co-occurrence network and its vectorized kernels.
+"""Property tests of the CSR co-occurrence network, its vectorized kernels,
+Heymann's closeness and the quality metrics.
 
-Each property compares an array kernel with the plain per-pair definition
-on random small corpora, where ties and degenerate marginals are common.
+Each kernel property compares an array kernel with the plain per-pair
+definition on random small corpora, where ties and degenerate marginals are
+common. The metric properties check identities that hold for any pair of
+forests over one tag set.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from hiertag import baselines
 from hiertag.corpus import build_cooccurrence, corpus_from_object_lists
 from hiertag.extract_b import centrality_rank, extract_b, prune_network
+from hiertag.hierarchy import Hierarchy
+from hiertag.metrics import link_ratios, nmi, partition_nmi
 from hiertag.stats import z_from_counts, z_scores
 
 TAGS = [f"t{k}" for k in range(12)]
@@ -120,3 +129,74 @@ def test_extract_b_forest_parents_outrank_children(objects):
     order = centrality_rank(prune_network(network, 10.0))
     rank = {network.names[i]: pos for pos, i in enumerate(order)}
     assert all(rank[parent] > rank[child] for parent, child in forest.edges)
+
+
+def _bfs_closeness(adj):
+    """Reference closeness: a breadth-first search from every tag."""
+    scores = []
+    for s in range(len(adj)):
+        dist = {s: 0}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        total = sum(dist.values())
+        scores.append((len(dist) - 1) / total if total else 0.0)
+    return scores
+
+
+graphs = st.integers(1, 30).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)
+    )
+)
+
+
+@relaxed
+@given(graphs, st.integers(1, 8))
+def test_blocked_closeness_equals_bfs_from_every_tag(graph, block):
+    n, pairs = graph
+    adj = [set() for _ in range(n)]
+    for i, j in pairs:
+        if i != j:
+            adj[i].add(j)
+            adj[j].add(i)
+    rows = [i for i in range(n) for _ in adj[i]]
+    cols = [j for i in range(n) for j in adj[i]]
+    matrix = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    # a few sources per block, so most graphs span several blocks
+    with patch.object(baselines, "CLOSENESS_BLOCK_ENTRIES", block * n):
+        got = baselines._closeness(matrix)
+    assert got.tolist() == _bfs_closeness(adj)
+
+
+@st.composite
+def forest_pairs(draw):
+    """Two random forests over the same tags: in a random order, each tag
+    gets no parent or one from the tags before it."""
+    tags = [f"n{k}" for k in range(draw(st.integers(2, 25)))]
+
+    def forest():
+        order = draw(st.permutations(tags))
+        parents = [draw(st.integers(-1, j - 1)) for j in range(len(order))]
+        return Hierarchy(tags, [(order[p], order[j]) for j, p in enumerate(parents) if p >= 0])
+
+    return forest(), forest()
+
+
+@relaxed
+@given(forest_pairs())
+def test_nmi_equals_partition_nmi(pair):
+    exact, recon = pair
+    assume(exact.edges or recon.edges)
+    assert nmi(exact, recon) == pytest.approx(partition_nmi(exact, recon))
+
+
+@relaxed
+@given(forest_pairs())
+def test_link_ratios_of_a_forest_sum_to_one(pair):
+    r = link_ratios(*pair)
+    assert r.acceptable + r.inverted + r.unrelated + r.missing == pytest.approx(1)
