@@ -222,9 +222,22 @@ def test_threads_env_variable_is_ignored(tmp_path, monkeypatch):
     corpus = _write_nested_corpus(tmp_path / "corpus.tsv")
     plain = tmp_path / "plain.tsv"
     assert main(["extract", corpus, "--algorithm", "a", "--out", str(plain)]) == 0
+    monkeypatch.setenv("HIERTAG_THREADS", "2")
+    out = tmp_path / "h.tsv"
+    assert main(["extract", corpus, "--algorithm", "a", "--out", str(out)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
+    assert "threads" not in _manifest(tmp_path / "h.tsv.manifest")
+
+
+def test_bad_threads_env_variable_is_ignored(tmp_path, monkeypatch, capsys):
+    corpus = _write_nested_corpus(tmp_path / "corpus.tsv")
+    plain = tmp_path / "plain.tsv"
+    assert main(["extract", corpus, "--algorithm", "a", "--out", str(plain)]) == 0
+    capsys.readouterr()
     monkeypatch.setenv("HIERTAG_THREADS", "many")
     out = tmp_path / "h.tsv"
     assert main(["extract", corpus, "--algorithm", "a", "--out", str(out)]) == 0
+    assert "error" not in capsys.readouterr().err
     assert out.read_bytes() == plain.read_bytes()
     assert "threads" not in _manifest(tmp_path / "h.tsv.manifest")
 

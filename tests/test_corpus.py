@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import pytest
@@ -146,6 +147,19 @@ def test_shard_counts_merge_to_single_pass():
     merged = brute_force_pair_counts(corpus.objects[:100])
     merged.update(brute_force_pair_counts(corpus.objects[100:]))
     assert whole == merged
+
+
+def test_threads_do_not_change_the_network():
+    rng = random.Random(5)
+    corpus = corpus_from_object_lists(_random_objects(rng, 30, 500))
+    serial = build_cooccurrence(corpus)
+    # builds running at once on several threads share no state
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        built = list(pool.map(build_cooccurrence, [corpus] * 6))
+    for network in built:
+        assert network.indptr.tolist() == serial.indptr.tolist()
+        assert network.indices.tolist() == serial.indices.tolist()
+        assert network.weights.tolist() == serial.weights.tolist()
 
 
 def test_cooccurrence_bounded_by_marginals():
