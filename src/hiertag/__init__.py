@@ -49,13 +49,7 @@ from .metrics import (
     nmi,
     partition_nmi,
 )
-from .stats import (
-    ZScoreInputs,
-    eigenvector_centrality,
-    in_link_entropy,
-    z_from_counts,
-    z_score,
-)
+from .stats import eigenvector_centrality, in_link_entropy, z_from_counts
 
 __all__ = [
     "__version__",
@@ -74,7 +68,6 @@ __all__ = [
     "SchmitzParams",
     "SYNTHETIC_ROOT",
     "TagCorpus",
-    "ZScoreInputs",
     "binary_tree",
     "build_cooccurrence",
     "corpus_from_object_lists",
@@ -101,5 +94,4 @@ __all__ = [
     "save_hierarchy",
     "strip_synthetic_root",
     "z_from_counts",
-    "z_score",
 ]

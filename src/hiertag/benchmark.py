@@ -13,7 +13,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterator
 
 from .corpus import TagCorpus, corpus_from_object_lists
@@ -87,7 +87,7 @@ def frequency_profile(
     linear-depth: weight d_max - depth + 1, so roots are heaviest and the
     deepest level has weight 1. power-law: Zipf-like weights rank**-exponent
     assigned to tags by a random permutation, independent of depth (needs
-    `rng`). explicit: a user table covering every tag.
+    `rng`).
     """
     if kind[0] == "linear-depth":
         depth = h.depths()
@@ -101,14 +101,6 @@ def frequency_profile(
         order = list(range(h.n_tags))
         rng.shuffle(order)
         return {h.tags[i]: weights[r] for r, i in enumerate(order)}
-    if kind[0] == "explicit":
-        table = kind[1]
-        missing = [t for t in h.tags if t not in table]
-        if missing:
-            raise ValueError(f"explicit profile is missing tags: {missing[:5]}")
-        if any(table[t] <= 0 for t in h.tags):
-            raise ValueError("explicit profile weights must be positive")
-        return {t: float(table[t]) for t in h.tags}
     raise ValueError(f"unknown frequency profile kind {kind!r}")
 
 
@@ -169,15 +161,21 @@ def _make_chunk(
 
 
 def iter_object_tags(h: Hierarchy, config: BenchmarkConfig) -> Iterator[list[str]]:
-    """Objects in generation order, as lists of distinct tag names."""
+    """Objects in generation order, as lists of distinct tag names.
+
+    The hierarchy is checked when this is called, before any draw.
+    """
+    if not h.tags:
+        raise ValueError("hierarchy has no tags")
     profile = frequency_profile(
         h, config.frequency_profile, rng=random.Random(derive_seed(config.seed, "profile"))
     )
     cum = list(accumulate(profile[t] for t in h.tags))
     nbrs = h.undirected_neighbors()
-    for ci, start in enumerate(range(0, config.object_count, CHUNK_OBJECTS)):
-        count = min(CHUNK_OBJECTS, config.object_count - start)
-        yield from _make_chunk(h.tags, cum, nbrs, config, ci, count)
+    return chain.from_iterable(
+        _make_chunk(h.tags, cum, nbrs, config, ci, min(CHUNK_OBJECTS, config.object_count - start))
+        for ci, start in enumerate(range(0, config.object_count, CHUNK_OBJECTS))
+    )
 
 
 def generate(h: Hierarchy, config: BenchmarkConfig) -> TagCorpus:

@@ -11,9 +11,12 @@ its own derived stream.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import random
 import sys
 import time
+from typing import Iterable, TextIO
 
 from . import __version__
 from .baselines import (
@@ -37,6 +40,7 @@ from .extract_a import AlgoAParams, extract_a
 from .extract_b import AlgoBParams, extract_b_from_pruned, prune_network
 from .hierarchy import (
     REWIRING_ORDERS,
+    Hierarchy,
     binary_tree,
     hierarchy_to_text,
     load_hierarchy,
@@ -46,12 +50,32 @@ from .metrics import decay_curve, evaluate_hierarchies
 from .textio import TextFormatError
 
 
-def _write_text(out: str, text: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write_output(path: str, chunks: Iterable[str], stream: TextIO) -> None:
+    """Write `chunks` to `path` whole or not at all; "-" writes to `stream`.
+
+    The chunks go to a temporary file beside `path` that replaces it only
+    once every chunk is written, so a failure part-way leaves any older file
+    at `path` untouched and no partial one.
+    """
+    if path == "-":
+        stream.writelines(chunks)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _load_tree(path: str, command: str) -> Hierarchy:
+    h = load_hierarchy(path)
+    if not h.is_tree():
+        raise ValueError(f"{path}: {command} rewires links, so it requires a single-rooted tree")
+    return h
 
 
 def _read_manifest_argv(path: str) -> list[str]:
@@ -85,13 +109,11 @@ def _cmd_generate(args: argparse.Namespace) -> list[tuple[str, str]]:
         frequency_profile=parse_profile(args.profile),
         seed=args.seed,
     )
-    lines = ("\t".join(tags) + "\n" for tags in iter_object_tags(h, config))
-    if args.out == "-":
-        for line in lines:
-            sys.stdout.write(line)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
+    try:
+        objects = iter_object_tags(h, config)
+    except ValueError as exc:
+        raise ValueError(f"{args.hierarchy}: {exc}") from None
+    _write_output(args.out, ("\t".join(tags) + "\n" for tags in objects), sys.stdout)
     return [
         ("hierarchy", args.hierarchy),
         ("objects", str(args.objects)),
@@ -146,13 +168,13 @@ def _cmd_extract(args: argparse.Namespace) -> list[tuple[str, str]]:
         )
         entries.append(("t_subsume", str(args.t_subsume)))
         entries.append(("min_cooccurrence", str(args.min_cooccurrence)))
-    _write_text(args.out, hierarchy_to_text(h))
+    _write_output(args.out, [hierarchy_to_text(h)], sys.stdout)
     entries.append(("out", args.out))
     return entries
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> list[tuple[str, str]]:
-    exact = load_hierarchy(args.exact)
+    exact = _load_tree(args.exact, "evaluate --lmi") if args.lmi else load_hierarchy(args.exact)
     recon = load_hierarchy(args.recon)
     if SYNTHETIC_ROOT in recon.tags and SYNTHETIC_ROOT not in exact.tags:
         recon = strip_synthetic_root(recon)
@@ -165,7 +187,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[tuple[str, str]]:
         curve_grid=_grid_from_step(args.curve_grid_step),
         seed=args.seed,
     )
-    _write_text(args.out, report.to_text())
+    _write_output(args.out, [report.to_text()], sys.stdout)
     entries = [
         ("exact", args.exact),
         ("recon", args.recon),
@@ -181,7 +203,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[tuple[str, str]]:
 
 
 def _cmd_curve(args: argparse.Namespace) -> list[tuple[str, str]]:
-    h = load_hierarchy(args.input)
+    h = _load_tree(args.input, "curve")
     curve = decay_curve(
         h,
         order=args.order,
@@ -189,7 +211,7 @@ def _cmd_curve(args: argparse.Namespace) -> list[tuple[str, str]]:
         grid=_grid_from_step(args.grid_step),
         seed=args.seed,
     )
-    _write_text(args.out, curve.to_text())
+    _write_output(args.out, [curve.to_text()], sys.stdout)
     return [
         ("input", args.input),
         ("order", args.order),
@@ -201,9 +223,9 @@ def _cmd_curve(args: argparse.Namespace) -> list[tuple[str, str]]:
 
 
 def _cmd_randomize(args: argparse.Namespace) -> list[tuple[str, str]]:
-    h = load_hierarchy(args.input)
+    h = _load_tree(args.input, "randomize")
     rewired = rewire(h, args.fraction, args.order, random.Random(args.seed))
-    _write_text(args.out, hierarchy_to_text(rewired))
+    _write_output(args.out, [hierarchy_to_text(rewired)], sys.stdout)
     return [
         ("input", args.input),
         ("fraction", str(args.fraction)),
@@ -214,7 +236,7 @@ def _cmd_randomize(args: argparse.Namespace) -> list[tuple[str, str]]:
 
 
 def _cmd_tree(args: argparse.Namespace) -> list[tuple[str, str]]:
-    _write_text(args.out, hierarchy_to_text(binary_tree(args.levels)))
+    _write_output(args.out, [hierarchy_to_text(binary_tree(args.levels))], sys.stdout)
     return [("levels", str(args.levels)), ("out", args.out)]
 
 
@@ -323,11 +345,7 @@ def _write_manifest(args: argparse.Namespace, argv: list[str], entries: list[tup
     if path is None:
         out = getattr(args, "out", "-")
         path = f"{out}.manifest" if out != "-" else "-"
-    if path == "-":
-        sys.stderr.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_output(path, [text], sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,7 +12,7 @@ incidence matrix (X[o, i] = 1 iff object o carries tag i).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
@@ -39,7 +39,6 @@ class TagCorpus:
     names: tuple[str, ...]
     objects: tuple[tuple[int, ...], ...]
     freq: tuple[int, ...]
-    index: dict[str, int] = field(repr=False, compare=False)
 
     @property
     def n_tags(self) -> int:
@@ -68,7 +67,7 @@ def corpus_from_object_lists(object_tags: Iterable[Sequence[str]]) -> TagCorpus:
         raise CorpusFormatError("object with no tags")
     ids = np.fromiter(chain.from_iterable(objects), dtype=np.intp)
     freq = tuple(np.bincount(ids, minlength=len(index)).tolist())
-    return TagCorpus(tuple(index), tuple(objects), freq, dict(index))
+    return TagCorpus(tuple(index), tuple(objects), freq)
 
 
 def load_corpus(path: str, with_ids: bool = False) -> TagCorpus:
@@ -87,7 +86,7 @@ def load_corpus(path: str, with_ids: bool = False) -> TagCorpus:
         corpus = None
     # an empty field interns as the tag ""; the file is only re-read to
     # number the offending line, so well-formed input is read once
-    if corpus is None or "" in corpus.index:
+    if corpus is None or "" in corpus.names:
         raise _first_malformed_line(path, with_ids)
     return corpus
 

@@ -195,7 +195,9 @@ def rewire(h: Hierarchy, fraction: float, order: str, rng: random.Random) -> Hie
 
     A rewired link keeps its child; the new parent is drawn uniformly from the
     tags that are neither the child nor inside the child's current subtree, so
-    the result stays a single-parent acyclic tree. Link order "leaf-first"
+    the result stays a single-parent acyclic tree. A drawn tag qualifies when
+    its chain of parents reaches the root without meeting the child; other
+    draws are redrawn. Link order "leaf-first"
     processes deepest children first, "top-first" shallowest first (depths
     frozen from the input tree, ties by tag), "random" shuffles with `rng`.
     """
@@ -205,34 +207,24 @@ def rewire(h: Hierarchy, fraction: float, order: str, rng: random.Random) -> Hie
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     if order not in REWIRING_ORDERS:
         raise ValueError(f"unknown rewiring order {order!r}, expected one of {REWIRING_ORDERS}")
-    parent = {c: p for p, c in h.edges}
-    n_rewire = int(fraction * len(parent) + 0.5)
-    depth = h.depths()
-    non_roots = [t for t in h.tags if t in parent]
-    if order == "random":
-        seq = list(non_roots)
-        rng.shuffle(seq)
-    elif order == "leaf-first":
-        seq = sorted(non_roots, key=lambda t: (-depth[t], t))
-    else:
-        seq = sorted(non_roots, key=lambda t: (depth[t], t))
-    children: dict[str, set[str]] = {t: set(h.children[t]) for t in h.tags}
     tags = h.tags
-    for child in seq[:n_rewire]:
-        # subtree below the child, at the moment of rewiring
-        blocked = {child}
-        stack = [child]
-        while stack:
-            u = stack.pop()
-            for v in children[u]:
-                if v not in blocked:
-                    blocked.add(v)
-                    stack.append(v)
+    position = {t: i for i, t in enumerate(tags)}
+    parent = [-1] * len(tags)
+    for p, c in h.edges:
+        parent[position[c]] = position[p]
+    depth = h.depths()
+    seq = [i for i, p in enumerate(parent) if p >= 0]
+    if order == "random":
+        rng.shuffle(seq)
+    else:
+        # stable, so ties stay in tag order either way
+        seq.sort(key=lambda i: depth[tags[i]], reverse=order == "leaf-first")
+    for child in seq[: int(fraction * len(seq) + 0.5)]:
         while True:
-            candidate = tags[rng.randrange(len(tags))]
-            if candidate not in blocked:
+            candidate = up = rng.randrange(len(tags))
+            while up != -1 and up != child:
+                up = parent[up]
+            if up == -1:
                 break
-        children[parent[child]].discard(child)
-        children[candidate].add(child)
         parent[child] = candidate
-    return Hierarchy(h.tags, [(p, c) for c, p in parent.items()])
+    return Hierarchy(tags, [(tags[p], tags[c]) for c, p in enumerate(parent) if p >= 0])

@@ -32,23 +32,6 @@ if TYPE_CHECKING:
     from .corpus import CooccurrenceNetwork
 
 
-@dataclass(frozen=True)
-class ZScoreInputs:
-    q_total: int
-    q_i: int
-    q_j: int
-    q_ij: int
-
-    def __post_init__(self):
-        if self.q_total < 1:
-            raise ValueError("q_total must be >= 1")
-        for name, q in (("q_i", self.q_i), ("q_j", self.q_j)):
-            if not 0 <= q <= self.q_total:
-                raise ValueError(f"{name} must be in [0, q_total], got {q}")
-        if not 0 <= self.q_ij <= min(self.q_i, self.q_j):
-            raise ValueError(f"q_ij must be in [0, min(q_i, q_j)], got {self.q_ij}")
-
-
 def expected_cooccurrence(q_total: int, q_i: int, q_j: int) -> float:
     if q_total < 1:
         raise ValueError("q_total must be >= 1")
@@ -80,10 +63,6 @@ def z_scores(q_total: int, q_i: np.ndarray, q_j: np.ndarray, q_ij: np.ndarray) -
     variance = mean * ((q_total - q_i) / q_total) * ((q_total - q_j) / (q_total - 1))
     z[ok] = (q_ij - mean) / np.sqrt(variance)
     return z
-
-
-def z_score(inputs: ZScoreInputs) -> float:
-    return z_from_counts(inputs.q_total, inputs.q_i, inputs.q_j, inputs.q_ij)
 
 
 def in_link_entropy(weights: Iterable[float]) -> float:

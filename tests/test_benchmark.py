@@ -88,16 +88,6 @@ def test_power_law_profile_requires_rng():
         frequency_profile(_chain(), ("power-law", 2.0))
 
 
-def test_explicit_profile_checks_coverage_and_sign():
-    h = _chain()
-    table = {"a": 1.0, "b": 2.0, "c": 3.0}
-    assert frequency_profile(h, ("explicit", table)) == table
-    with pytest.raises(ValueError, match="missing tags"):
-        frequency_profile(h, ("explicit", {"a": 1.0}))
-    with pytest.raises(ValueError, match="positive"):
-        frequency_profile(h, ("explicit", {"a": 1.0, "b": 0.0, "c": 3.0}))
-
-
 def test_generate_is_deterministic():
     h = binary_tree(5)
     config = BenchmarkConfig(object_count=500, p_random_walk=0.5, seed=7)
@@ -172,7 +162,7 @@ def test_single_step_walks_stay_on_hierarchy_links():
         seed=6,
     )
     corpus = generate(h, config)
-    forbidden = tuple(sorted((corpus.index["a"], corpus.index["c"])))
+    forbidden = tuple(sorted((corpus.names.index("a"), corpus.names.index("c"))))
     assert forbidden not in corpus.objects
 
 
@@ -181,3 +171,14 @@ def test_different_seeds_give_different_corpora():
     a = generate(h, BenchmarkConfig(object_count=300, p_random_walk=0.5, seed=1))
     b = generate(h, BenchmarkConfig(object_count=300, p_random_walk=0.5, seed=2))
     assert a.objects != b.objects
+
+
+def test_empty_hierarchy_is_rejected_before_any_draw():
+    empty = Hierarchy([], [])
+    config = BenchmarkConfig(
+        object_count=10, p_random_walk=0.5, frequency_profile=("power-law", 2.0)
+    )
+    with pytest.raises(ValueError, match="hierarchy has no tags"):
+        iter_object_tags(empty, config)
+    with pytest.raises(ValueError, match="hierarchy has no tags"):
+        generate(empty, config)

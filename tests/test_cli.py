@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from hiertag.cli import main
@@ -351,3 +353,61 @@ def test_evaluate_errors_name_the_file_and_line(tmp_path, capsys, content, messa
     err = capsys.readouterr().err
     assert err.startswith(f"error: {recon}: {message}")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "{f}"],
+        ["randomize", "{f}", "--fraction", "0.5"],
+        ["evaluate", "{f}", "{f}", "--lmi"],
+    ],
+    ids=["curve", "randomize", "evaluate-lmi"],
+)
+def test_tree_only_commands_name_the_file(tmp_path, capsys, argv):
+    forest = tmp_path / "forest.tsv"
+    forest.write_text("a\tb\nc\td\n", encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    code = main([arg.format(f=forest) for arg in argv] + ["--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {forest}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == ["forest.tsv"]
+
+
+def test_evaluate_without_lmi_accepts_a_forest(tmp_path):
+    forest = tmp_path / "forest.tsv"
+    forest.write_text("a\tb\nc\td\n", encoding="utf-8")
+    report = tmp_path / "report.tsv"
+    assert main(["evaluate", str(forest), str(forest), "--out", str(report)]) == 0
+    assert "nmi\t1" in report.read_text()
+
+
+@pytest.mark.parametrize("profile", ["linear-depth", "power-law:2"])
+def test_generate_from_an_empty_hierarchy_names_the_file(tmp_path, capsys, profile):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# no tags\n", encoding="utf-8")
+    out = tmp_path / "g.txt"
+    argv = ["generate", "--hierarchy", str(empty), "--objects", "10", "--profile", profile]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {empty}: hierarchy has no tags\n"
+    assert sorted(os.listdir(tmp_path)) == ["empty.tsv"]
+
+
+def test_failed_generate_leaves_the_older_output_untouched(tmp_path, monkeypatch, capsys):
+    tree = tmp_path / "tree.tsv"
+    main(["tree", "--levels", "3", "--out", str(tree)])
+    out = tmp_path / "g.txt"
+    out.write_text("older\n", encoding="utf-8")
+
+    def fails_part_way(h, config):
+        yield ["1", "2"]
+        raise ValueError("object stream failed")
+
+    monkeypatch.setattr("hiertag.cli.iter_object_tags", fails_part_way)
+    code = main(["generate", "--hierarchy", str(tree), "--objects", "10", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: object stream failed\n"
+    assert out.read_text(encoding="utf-8") == "older\n"
+    assert sorted(os.listdir(tmp_path)) == ["g.txt", "tree.tsv", "tree.tsv.manifest"]

@@ -34,17 +34,17 @@ def test_load_corpus_counts(tmp_path):
     path.write_text("a\tb\na\tc\n")
     corpus = load_corpus(path)
     assert corpus.n_objects == 2
-    assert corpus.freq[corpus.index["a"]] == 2
-    assert corpus.freq[corpus.index["b"]] == 1
-    assert corpus.freq[corpus.index["c"]] == 1
+    assert corpus.freq[corpus.names.index("a")] == 2
+    assert corpus.freq[corpus.names.index("b")] == 1
+    assert corpus.freq[corpus.names.index("c")] == 1
 
 
 def test_load_corpus_collapses_duplicate_tags(tmp_path):
     path = tmp_path / "objects.tsv"
     path.write_text("a\ta\tb\n")
     corpus = load_corpus(path)
-    assert corpus.objects[0] == tuple(sorted((corpus.index["a"], corpus.index["b"])))
-    assert corpus.freq[corpus.index["a"]] == 1
+    assert corpus.objects[0] == tuple(sorted((corpus.names.index("a"), corpus.names.index("b"))))
+    assert corpus.freq[corpus.names.index("a")] == 1
 
 
 def test_load_corpus_empty_file_errors(tmp_path):
@@ -68,7 +68,7 @@ def test_load_corpus_with_ids_skips_first_field(tmp_path):
     corpus = load_corpus(path, with_ids=True)
     assert corpus.n_objects == 2
     assert "obj1" not in corpus.names
-    assert corpus.freq[corpus.index["a"]] == 2
+    assert corpus.freq[corpus.names.index("a")] == 2
 
 
 def test_load_corpus_reports_offending_line_number(tmp_path):

@@ -1,13 +1,15 @@
 """Property tests of the CSR co-occurrence network, its vectorized kernels,
-Heymann's closeness and the quality metrics.
+the extractors, Heymann's closeness, rewiring and the quality metrics.
 
 Each kernel property compares an array kernel with the plain per-pair
 definition on random small corpora, where ties and degenerate marginals are
 common. The metric properties check identities that hold for any pair of
-forests over one tag set.
+forests over one tag set. Rewiring is compared with a subtree-search
+reference that must make the same random draws.
 """
 from __future__ import annotations
 
+import random
 from collections import Counter, deque
 from itertools import combinations
 from unittest.mock import patch
@@ -20,8 +22,9 @@ from scipy import sparse
 
 from hiertag import baselines
 from hiertag.corpus import build_cooccurrence, corpus_from_object_lists
+from hiertag.extract_a import extract_a
 from hiertag.extract_b import centrality_rank, extract_b, prune_network
-from hiertag.hierarchy import Hierarchy
+from hiertag.hierarchy import REWIRING_ORDERS, Hierarchy, rewire
 from hiertag.metrics import link_ratios, nmi, partition_nmi
 from hiertag.stats import z_from_counts, z_scores
 
@@ -131,6 +134,15 @@ def test_extract_b_forest_parents_outrank_children(objects):
     assert all(rank[parent] > rank[child] for parent, child in forest.edges)
 
 
+@relaxed
+@given(corpora)
+def test_extract_a_returns_a_single_rooted_tree_over_every_tag(objects):
+    network = _network(objects)
+    tree = extract_a(network)
+    assert tree.is_tree()
+    assert tree.tags == tuple(sorted(network.names))
+
+
 def _bfs_closeness(adj):
     """Reference closeness: a breadth-first search from every tag."""
     scores = []
@@ -200,3 +212,56 @@ def test_nmi_equals_partition_nmi(pair):
 def test_link_ratios_of_a_forest_sum_to_one(pair):
     r = link_ratios(*pair)
     assert r.acceptable + r.inverted + r.unrelated + r.missing == pytest.approx(1)
+
+
+def _rewire_by_subtree_search(h, fraction, order, rng):
+    """Reference rewiring: collect the child's current subtree by DFS over
+    per-tag children sets, then redraw until the candidate lies outside it."""
+    parent = {c: p for p, c in h.edges}
+    depth = h.depths()
+    non_roots = [t for t in h.tags if t in parent]
+    if order == "random":
+        seq = list(non_roots)
+        rng.shuffle(seq)
+    else:
+        sign = -1 if order == "leaf-first" else 1
+        seq = sorted(non_roots, key=lambda t: (sign * depth[t], t))
+    children = {t: set(h.children[t]) for t in h.tags}
+    for child in seq[: int(fraction * len(parent) + 0.5)]:
+        blocked, stack = {child}, [child]
+        while stack:
+            for v in children[stack.pop()] - blocked:
+                blocked.add(v)
+                stack.append(v)
+        candidate = child
+        while candidate in blocked:
+            candidate = h.tags[rng.randrange(len(h.tags))]
+        children[parent[child]].discard(child)
+        children[candidate].add(child)
+        parent[child] = candidate
+    return Hierarchy(h.tags, [(p, c) for c, p in parent.items()])
+
+
+@st.composite
+def trees(draw):
+    """A random tree: in a random order of the tags, each one after the
+    first hangs under one drawn from the tags before it."""
+    order = draw(st.permutations([f"n{k}" for k in range(draw(st.integers(1, 40)))]))
+    edges = [(order[draw(st.integers(0, j - 1))], order[j]) for j in range(1, len(order))]
+    return Hierarchy(order, edges)
+
+
+@relaxed
+@given(
+    trees(),
+    st.sampled_from(REWIRING_ORDERS),
+    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    st.integers(0, 2**32),
+)
+def test_rewire_equals_subtree_search_reference(tree, order, fraction, seed):
+    got_rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = rewire(tree, fraction, order, got_rng)
+    assert got == _rewire_by_subtree_search(tree, fraction, order, ref_rng)
+    assert got.is_tree()
+    # both made the same draws, so their streams end in the same state
+    assert got_rng.getstate() == ref_rng.getstate()
