@@ -29,6 +29,10 @@ class HeymannParams:
     centrality_kind: str = "degree-strength"
 
     def __post_init__(self):
+        if not 0.0 <= self.similarity_threshold <= 1.0:
+            raise ValueError(
+                f"similarity_threshold must be in [0, 1], got {self.similarity_threshold}"
+            )
         if self.centrality_kind not in CENTRALITY_KINDS:
             raise ValueError(
                 f"unknown centrality kind {self.centrality_kind!r}, expected one of {CENTRALITY_KINDS}"
@@ -150,6 +154,12 @@ def strip_synthetic_root(h: Hierarchy) -> Hierarchy:
 class SchmitzParams:
     t_subsume: float = 0.8
     min_cooccurrence: int = 10
+
+    def __post_init__(self):
+        if not 0.0 <= self.t_subsume <= 1.0:
+            raise ValueError(f"t_subsume must be in [0, 1], got {self.t_subsume}")
+        if self.min_cooccurrence < 0:
+            raise ValueError(f"min_cooccurrence must be >= 0, got {self.min_cooccurrence}")
 
 
 def extract_schmitz(

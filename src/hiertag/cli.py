@@ -16,7 +16,7 @@ import os
 import random
 import sys
 import time
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, TextIO
 
 from . import __version__
 from .baselines import (
@@ -99,14 +99,23 @@ def _grid_from_step(step: float) -> tuple[float, ...]:
     return tuple(i / points for i in range(points + 1))
 
 
+def _parse_descriptor(option: str, parse: Callable[[str], tuple], text: str) -> tuple:
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{option} {text!r}: {exc}") from None
+
+
 def _cmd_generate(args: argparse.Namespace) -> list[tuple[str, str]]:
     h = load_hierarchy(args.hierarchy)
     config = BenchmarkConfig(
         object_count=args.objects,
         p_random_walk=args.p_rw,
-        tags_per_object=parse_count_distribution(args.tags_per_object),
-        walk_length=parse_walk_length(args.walk),
-        frequency_profile=parse_profile(args.profile),
+        tags_per_object=_parse_descriptor(
+            "--tags-per-object", parse_count_distribution, args.tags_per_object
+        ),
+        walk_length=_parse_descriptor("--walk", parse_walk_length, args.walk),
+        frequency_profile=_parse_descriptor("--profile", parse_profile, args.profile),
         seed=args.seed,
     )
     try:

@@ -190,6 +190,60 @@ def binary_tree(levels: int) -> Hierarchy:
 REWIRING_ORDERS = ("leaf-first", "random", "top-first")
 
 
+def forest_parents(h: Hierarchy) -> list[int] | None:
+    """Each tag's parent as a position in `h.tags`, -1 for a root; None when
+    some tag has several parents."""
+    position = dict(zip(h.tags, range(len(h.tags))))
+    parent = []
+    for ps in map(h.parents.__getitem__, h.tags):
+        if len(ps) > 1:
+            return None
+        parent.append(position[ps[0]] if ps else -1)
+    return parent
+
+
+def _rewire_plan(h: Hierarchy, fraction: float, order: str) -> tuple[list[int], list[int]]:
+    """Check `rewire`'s arguments; return the tree's parent list and its links
+    as child positions in rewiring order ("random": tag order, shuffled per
+    rewiring by the kernel)."""
+    if not h.is_tree():
+        raise ValueError("rewire requires a single-rooted tree")
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    if order not in REWIRING_ORDERS:
+        raise ValueError(f"unknown rewiring order {order!r}, expected one of {REWIRING_ORDERS}")
+    parent = forest_parents(h)
+    links = [i for i, p in enumerate(parent) if p >= 0]
+    if order != "random":
+        depth, tags = h.depths(), h.tags
+        # stable, so ties stay in tag order either way
+        links.sort(key=lambda i: depth[tags[i]], reverse=order == "leaf-first")
+    return parent, links
+
+
+def _rewire_parents(
+    parent: list[int], links: list[int], fraction: float, rng: random.Random, shuffle: bool
+) -> list[int]:
+    """The rewiring kernel: a new parent list with the first
+    round(fraction * len(links)) of `links` rewired, `links` shuffled with
+    `rng` first when `shuffle` is set. The inputs are not modified."""
+    parent = parent.copy()
+    if shuffle:
+        links = links.copy()
+        rng.shuffle(links)
+    randrange, n = rng.randrange, len(parent)
+    for child in links[: int(fraction * len(links) + 0.5)]:
+        # with the child's parent set to -2 for the draws, a walk up from a
+        # candidate ends at -1 at the root and at -2 through the child
+        parent[child] = up = -2
+        while up != -1:
+            candidate = up = randrange(n)
+            while up >= 0:
+                up = parent[up]
+        parent[child] = candidate
+    return parent
+
+
 def rewire(h: Hierarchy, fraction: float, order: str, rng: random.Random) -> Hierarchy:
     """Rewire round(fraction * n_edges) links of a tree, half-up rounding.
 
@@ -197,34 +251,12 @@ def rewire(h: Hierarchy, fraction: float, order: str, rng: random.Random) -> Hie
     tags that are neither the child nor inside the child's current subtree, so
     the result stays a single-parent acyclic tree. A drawn tag qualifies when
     its chain of parents reaches the root without meeting the child; other
-    draws are redrawn. Link order "leaf-first"
-    processes deepest children first, "top-first" shallowest first (depths
-    frozen from the input tree, ties by tag), "random" shuffles with `rng`.
+    draws are redrawn. Link order "leaf-first" processes deepest children
+    first, "top-first" shallowest first (depths frozen from the input tree,
+    ties by tag), "random" shuffles with `rng`. The work runs on a parent
+    list over tag positions; `decay_curve` calls the same kernel per cell.
     """
-    if not h.is_tree():
-        raise ValueError("rewire requires a single-rooted tree")
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    if order not in REWIRING_ORDERS:
-        raise ValueError(f"unknown rewiring order {order!r}, expected one of {REWIRING_ORDERS}")
+    parent, links = _rewire_plan(h, fraction, order)
+    parent = _rewire_parents(parent, links, fraction, rng, order == "random")
     tags = h.tags
-    position = {t: i for i, t in enumerate(tags)}
-    parent = [-1] * len(tags)
-    for p, c in h.edges:
-        parent[position[c]] = position[p]
-    depth = h.depths()
-    seq = [i for i, p in enumerate(parent) if p >= 0]
-    if order == "random":
-        rng.shuffle(seq)
-    else:
-        # stable, so ties stay in tag order either way
-        seq.sort(key=lambda i: depth[tags[i]], reverse=order == "leaf-first")
-    for child in seq[: int(fraction * len(seq) + 0.5)]:
-        while True:
-            candidate = up = rng.randrange(len(tags))
-            while up != -1 and up != child:
-                up = parent[up]
-            if up == -1:
-                break
-        parent[child] = candidate
     return Hierarchy(tags, [(tags[p], tags[c]) for c, p in enumerate(parent) if p >= 0])

@@ -11,7 +11,15 @@ import math
 import random
 from dataclasses import dataclass
 
-from .hierarchy import Hierarchy, descendant_table, rewire
+import numpy as np
+
+from .hierarchy import (
+    Hierarchy,
+    _rewire_parents,
+    _rewire_plan,
+    descendant_table,
+    forest_parents,
+)
 from .seeds import derive_seed
 
 
@@ -72,6 +80,81 @@ def link_ratios(exact: Hierarchy, recon: Hierarchy) -> LinkRatios:
     )
 
 
+def preorder_intervals(parent: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-order intervals of a forest given as a parent list (-1 for a root).
+
+    Returns `start` and `end`, with the descendants of i exactly the j that
+    satisfy start[i] < start[j] < end[i].
+    """
+    n = len(parent)
+    children: list[list[int]] = [[] for _ in range(n)]
+    stack: list[int] = []
+    for c, p in enumerate(parent):
+        (children[p] if p >= 0 else stack).append(c)
+    order: list[int] = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(children[v])
+    size = [1] * n
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
+            size[p] += size[v]
+    start = np.empty(n, dtype=np.int64)
+    start[order] = np.arange(n)
+    return start, start + np.array(size, dtype=np.int64)
+
+
+def forest_overlaps(
+    start: np.ndarray, end: np.ndarray, recon_parent: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|D_e(i)|, |D_r(i)| and |D_e(i) & D_r(i)| per tag for two forests.
+
+    The exact forest comes as its :func:`preorder_intervals`, the
+    reconstruction as a parent list over the same positions. Every tag climbs
+    its reconstructed ancestors together with all other tags, one vectorized
+    pass per level, and each ancestor met counts once for |D_r| and once more
+    for the overlap when the tag also falls inside its exact interval.
+    """
+    n = len(start)
+    up = np.array(recon_parent, dtype=np.int64)
+    dr = np.zeros(n, dtype=np.int64)
+    both = np.zeros(n, dtype=np.int64)
+    has_parent = up >= 0
+    anc, pos = up[has_parent], start[has_parent]
+    while len(anc):
+        np.add.at(dr, anc, 1)
+        np.add.at(both, anc[(start[anc] < pos) & (pos < end[anc])], 1)
+        anc = up[anc]
+        live = anc >= 0
+        anc, pos = anc[live], pos[live]
+    return end - start - 1, dr, both
+
+
+def _nmi_from_counts(de: list[int], dr: list[int], both: list[int]) -> float:
+    """The NMI formula over per-tag descendant counts, in tag order."""
+    num = den = 0.0
+    scale = len(de) - 1
+    for e, r, er in zip(de, dr, both):
+        pe = e / scale
+        pr = r / scale
+        per = er / scale
+        if per > 0.0:
+            num += per * math.log(per / (pe * pr))
+        if pe > 0.0:
+            den += pe * math.log(pe)
+        if pr > 0.0:
+            den += pr * math.log(pr)
+    if den == 0.0:
+        return 0.0
+    return max(-2.0 * num / den, 0.0)
+
+
+def _forest_nmi(start: np.ndarray, end: np.ndarray, recon_parent: list[int]) -> float:
+    return _nmi_from_counts(*(a.tolist() for a in forest_overlaps(start, end, recon_parent)))
+
+
 def nmi(exact: Hierarchy, recon: Hierarchy) -> float:
     """Normalized mutual information of the two descendant-set structures.
 
@@ -84,6 +167,10 @@ def nmi(exact: Hierarchy, recon: Hierarchy) -> float:
 
     with 0*ln(0) = 0, clamped at 0. Identical hierarchies score exactly 1;
     a pair of edgeless hierarchies has no defined score and raises.
+
+    When both inputs are forests the counts come from :func:`forest_overlaps`
+    on parent arrays; otherwise from :func:`descendant_table` sets. Both feed
+    the same float loop in tag order, so the two routes agree bit for bit.
     """
     _check_same_tags(exact, recon)
     n = exact.n_tags
@@ -93,23 +180,15 @@ def nmi(exact: Hierarchy, recon: Hierarchy) -> float:
         raise ValueError("undefined NMI: both hierarchies are edgeless")
     if exact.edges == recon.edges:
         return 1.0
+    exact_parent, recon_parent = forest_parents(exact), forest_parents(recon)
+    if exact_parent is not None and recon_parent is not None:
+        return _forest_nmi(*preorder_intervals(exact_parent), recon_parent)
     de = descendant_table(exact)
     dr = descendant_table(recon)
-    num = den = 0.0
-    scale = n - 1
-    for t in exact.tags:
-        pe = len(de[t]) / scale
-        pr = len(dr[t]) / scale
-        per = len(de[t] & dr[t]) / scale
-        if per > 0.0:
-            num += per * math.log(per / (pe * pr))
-        if pe > 0.0:
-            den += pe * math.log(pe)
-        if pr > 0.0:
-            den += pr * math.log(pr)
-    if den == 0.0:
-        return 0.0
-    return max(-2.0 * num / den, 0.0)
+    tags = exact.tags
+    return _nmi_from_counts(
+        [len(de[t]) for t in tags], [len(dr[t]) for t in tags], [len(de[t] & dr[t]) for t in tags]
+    )
 
 
 def partition_nmi(exact: Hierarchy, recon: Hierarchy) -> float:
@@ -190,18 +269,29 @@ def decay_curve(
     Each (fraction, run) pair is a seeded cell with its own derived stream,
     so the curve is reproducible bit-for-bit for a fixed seed. The
     per-fraction means are made non-increasing by isotonic regression.
+
+    Each cell equals ``nmi(exact, rewire(exact, f, order, rng))`` with the
+    cell's stream, computed without building either hierarchy: the rewiring
+    kernel works on the tree's parent list, and the exact side's pre-order
+    intervals and the link order are prepared once per curve.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     fs = DEFAULT_GRID if grid is None else tuple(grid)
     if not fs or any(not 0.0 <= f <= 1.0 for f in fs) or list(fs) != sorted(fs):
         raise ValueError("grid must be ascending fractions within [0, 1]")
+    # the grid's fractions are checked above
+    parent, links = _rewire_plan(exact, 0.0, order)
+    if len(parent) < 2:
+        raise ValueError("NMI needs at least 2 tags")
+    start, end = preorder_intervals(parent)
     means = []
     for fi, f in enumerate(fs):
-        scores = [
-            nmi(exact, rewire(exact, f, order, random.Random(derive_seed(seed, "rewire", fi, run))))
-            for run in range(runs)
-        ]
+        scores = []
+        for run in range(runs):
+            rng = random.Random(derive_seed(seed, "rewire", fi, run))
+            rewired = _rewire_parents(parent, links, f, rng, order == "random")
+            scores.append(1.0 if rewired == parent else _forest_nmi(start, end, rewired))
         means.append(sum(scores) / runs)
     return DecayCurve(fs, tuple(_isotonic_non_increasing(means)), runs)
 

@@ -58,6 +58,17 @@ def test_heymann_unknown_centrality_is_rejected():
         HeymannParams(centrality_kind="pagerank")
 
 
+@pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+def test_heymann_similarity_threshold_outside_unit_interval_is_rejected(threshold):
+    with pytest.raises(ValueError, match="similarity_threshold must be in"):
+        HeymannParams(similarity_threshold=threshold)
+
+
+def test_heymann_similarity_threshold_bounds_are_accepted():
+    assert HeymannParams(similarity_threshold=0.0).similarity_threshold == 0.0
+    assert HeymannParams(similarity_threshold=1.0).similarity_threshold == 1.0
+
+
 def test_heymann_dissimilar_tags_fall_back_to_synthetic_root():
     network = _network([["a", "b"]] * 20 + [["c", "d"]] * 20)
     h = extract_heymann(network)
@@ -161,6 +172,25 @@ def test_schmitz_default_params():
     params = SchmitzParams()
     assert params.t_subsume == 0.8
     assert params.min_cooccurrence == 10
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"t_subsume": -0.5}, "t_subsume must be in"),
+        ({"t_subsume": 7.0}, "t_subsume must be in"),
+        ({"t_subsume": float("nan")}, "t_subsume must be in"),
+        ({"min_cooccurrence": -1}, "min_cooccurrence must be >= 0"),
+    ],
+)
+def test_schmitz_out_of_range_params_are_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SchmitzParams(**kwargs)
+
+
+def test_schmitz_param_bounds_are_accepted():
+    assert SchmitzParams(t_subsume=0.0, min_cooccurrence=0).t_subsume == 0.0
+    assert SchmitzParams(t_subsume=1.0).t_subsume == 1.0
 
 
 def test_heymann_similarity_ties_go_to_the_earliest_inserted():

@@ -324,6 +324,27 @@ def test_extract_errors_name_the_file_and_line(tmp_path, capsys, content, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "algorithm, option, message",
+    [
+        ("heymann", ["--similarity-threshold", "5"], "similarity_threshold must be in [0, 1]"),
+        ("schmitz", ["--t-subsume", "7"], "t_subsume must be in [0, 1], got 7.0"),
+        ("schmitz", ["--min-cooccurrence", "-1"], "min_cooccurrence must be >= 0, got -1"),
+    ],
+)
+def test_extract_rejects_out_of_range_baseline_params(
+    tmp_path, capsys, algorithm, option, message
+):
+    corpus = _write_nested_corpus(tmp_path / "corpus.tsv")
+    out = tmp_path / "h.tsv"
+    code = main(["extract", corpus, "--algorithm", algorithm, *option, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert len(err.strip().splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == ["corpus.tsv"]
+
+
 def test_extract_with_ids_reports_object_without_tags(tmp_path, capsys):
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("o1\ta\tb\no2\n", encoding="utf-8")
@@ -393,6 +414,28 @@ def test_generate_from_an_empty_hierarchy_names_the_file(tmp_path, capsys, profi
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {empty}: hierarchy has no tags\n"
     assert sorted(os.listdir(tmp_path)) == ["empty.tsv"]
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--tags-per-object", "poisson:x", "could not convert string to float: 'x'"),
+        ("--tags-per-object", "fixed:x", "invalid literal for int() with base 10: 'x'"),
+        ("--tags-per-object", "fixed:0", "fixed tag count must be >= 1"),
+        ("--tags-per-object", "zipf:2", "unknown tags-per-object distribution 'zipf:2'"),
+        ("--walk", "uniform:1:x", "invalid literal for int() with base 10: 'x'"),
+        ("--walk", "uniform:3:1", "walk length bounds must satisfy 1 <= lo <= hi"),
+        ("--profile", "power-law:x", "could not convert string to float: 'x'"),
+        ("--profile", "flat", "unknown frequency profile 'flat'"),
+    ],
+)
+def test_generate_descriptor_errors_name_the_option(tmp_path, capsys, option, value, message):
+    tree = _write_chain(tmp_path / "tree.tsv")
+    out = tmp_path / "g.txt"
+    argv = ["generate", "--hierarchy", tree, "--objects", "5", option, value, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {option} {value!r}: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["tree.tsv"]
 
 
 def test_failed_generate_leaves_the_older_output_untouched(tmp_path, monkeypatch, capsys):

@@ -4,12 +4,17 @@ the extractors, Heymann's closeness, rewiring and the quality metrics.
 Each kernel property compares an array kernel with the plain per-pair
 definition on random small corpora, where ties and degenerate marginals are
 common. The metric properties check identities that hold for any pair of
-forests over one tag set. Rewiring is compared with a subtree-search
-reference that must make the same random draws.
+forests over one tag set, and that the parent-array NMI equals the
+descendant-set NMI bit for bit. Rewiring is compared with a subtree-search
+reference that must make the same random draws, and a decay curve with one
+built cell by cell from `rewire` and the descendant-set NMI. Hierarchy files
+round-trip, and every extractor commutes with renaming the tags.
 """
 from __future__ import annotations
 
+import os
 import random
+import tempfile
 from collections import Counter, deque
 from itertools import combinations
 from unittest.mock import patch
@@ -20,12 +25,31 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from hiertag import baselines
+from hiertag import baselines, metrics
+from hiertag.baselines import SYNTHETIC_ROOT, HeymannParams, extract_heymann, extract_schmitz
 from hiertag.corpus import build_cooccurrence, corpus_from_object_lists
 from hiertag.extract_a import extract_a
 from hiertag.extract_b import centrality_rank, extract_b, prune_network
-from hiertag.hierarchy import REWIRING_ORDERS, Hierarchy, rewire
-from hiertag.metrics import link_ratios, nmi, partition_nmi
+from hiertag.hierarchy import (
+    REWIRING_ORDERS,
+    Hierarchy,
+    descendant_table,
+    forest_parents,
+    hierarchy_to_text,
+    load_hierarchy,
+    rewire,
+)
+from hiertag.metrics import (
+    DecayCurve,
+    _isotonic_non_increasing,
+    decay_curve,
+    forest_overlaps,
+    link_ratios,
+    nmi,
+    partition_nmi,
+    preorder_intervals,
+)
+from hiertag.seeds import derive_seed
 from hiertag.stats import z_from_counts, z_scores
 
 TAGS = [f"t{k}" for k in range(12)]
@@ -187,16 +211,44 @@ def test_blocked_closeness_equals_bfs_from_every_tag(graph, block):
 
 @st.composite
 def forest_pairs(draw):
-    """Two random forests over the same tags: in a random order, each tag
-    gets no parent or one from the tags before it."""
+    """Two random forests over the same tags. Each is edgeless, one chain
+    through some of the tags with the rest isolated, or random: in a random
+    order, each tag gets no parent or one from the tags before it."""
     tags = [f"n{k}" for k in range(draw(st.integers(2, 25)))]
 
     def forest():
         order = draw(st.permutations(tags))
+        kind = draw(st.sampled_from(["edgeless", "chain", "random"]))
+        if kind == "edgeless":
+            return Hierarchy(tags, [])
+        if kind == "chain":
+            length = draw(st.integers(2, len(order)))
+            return Hierarchy(tags, list(zip(order[: length - 1], order[1:length])))
         parents = [draw(st.integers(-1, j - 1)) for j in range(len(order))]
         return Hierarchy(tags, [(order[p], order[j]) for j, p in enumerate(parents) if p >= 0])
 
     return forest(), forest()
+
+
+def _descendant_set_nmi(exact, recon):
+    """nmi() forced onto its descendant-set route, the one DAGs take."""
+    with patch.object(metrics, "forest_parents", lambda h: None):
+        return nmi(exact, recon)
+
+
+@relaxed
+@given(forest_pairs())
+def test_forest_nmi_equals_descendant_set_nmi_exactly(pair):
+    exact, recon = pair
+    assume(exact.edges or recon.edges)
+    assert nmi(exact, recon) == _descendant_set_nmi(exact, recon)
+    de, dr = descendant_table(exact), descendant_table(recon)
+    counts = forest_overlaps(*preorder_intervals(forest_parents(exact)), forest_parents(recon))
+    assert [a.tolist() for a in counts] == [
+        [len(de[t]) for t in exact.tags],
+        [len(dr[t]) for t in exact.tags],
+        [len(de[t] & dr[t]) for t in exact.tags],
+    ]
 
 
 @relaxed
@@ -265,3 +317,83 @@ def test_rewire_equals_subtree_search_reference(tree, order, fraction, seed):
     assert got.is_tree()
     # both made the same draws, so their streams end in the same state
     assert got_rng.getstate() == ref_rng.getstate()
+
+
+def _curve_cell_by_cell(tree, order, runs, grid, seed):
+    """Reference decay curve: one `rewire` Hierarchy and one descendant-set
+    NMI per cell, with the curve's cell seeds."""
+    means = []
+    for fi, f in enumerate(grid):
+        scores = [
+            _descendant_set_nmi(
+                tree, rewire(tree, f, order, random.Random(derive_seed(seed, "rewire", fi, run)))
+            )
+            for run in range(runs)
+        ]
+        means.append(sum(scores) / runs)
+    return DecayCurve(grid, tuple(_isotonic_non_increasing(means)), runs)
+
+
+@relaxed
+@given(
+    trees().filter(lambda t: t.n_tags >= 2),
+    st.sampled_from(REWIRING_ORDERS),
+    st.integers(1, 3),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).map(lambda fs: tuple(sorted(fs))),
+    st.integers(0, 2**32),
+)
+def test_decay_curve_equals_cell_by_cell_reference(tree, order, runs, grid, seed):
+    got = decay_curve(tree, order, runs=runs, grid=grid, seed=seed)
+    assert got == _curve_cell_by_cell(tree, order, runs, grid, seed)
+
+
+# any text a hierarchy line can carry as a tag: no line breaks or TABs, not
+# blank, and not read as a '#' comment
+tag_names = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=6
+).filter(lambda t: t.strip() and not t.lstrip().startswith("#"))
+
+
+@st.composite
+def dags(draw):
+    """A random DAG: edges only run forward in a random order of the tags."""
+    order = draw(st.permutations(draw(st.lists(tag_names, max_size=12, unique=True))))
+    forward = [(i, j) for j in range(len(order)) for i in range(j)]
+    chosen = draw(st.lists(st.sampled_from(forward), unique=True)) if forward else []
+    return Hierarchy(order, [(order[i], order[j]) for i, j in chosen])
+
+
+@relaxed
+@given(dags())
+def test_hierarchy_text_round_trips(h):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "h.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(hierarchy_to_text(h))
+        assert load_hierarchy(path) == h
+
+
+EXTRACTORS = {
+    "a": extract_a,
+    "b": extract_b,
+    "heymann": extract_heymann,
+    "heymann_closeness": lambda n: extract_heymann(n, HeymannParams(centrality_kind="closeness")),
+    "schmitz": extract_schmitz,
+}
+
+
+@relaxed
+@given(corpora, st.permutations(range(len(TAGS))))
+def test_extractors_commute_with_tag_renaming(objects, perm):
+    # tag ids follow first appearance, which renaming keeps; the new names
+    # sort in another order, so no tie-break may depend on names
+    rename = {t: f"u{perm[k]}" for k, t in enumerate(TAGS)}
+    rename[SYNTHETIC_ROOT] = SYNTHETIC_ROOT
+    network = _network(objects)
+    renamed = _network([[rename[t] for t in obj] for obj in objects])
+    for extract in EXTRACTORS.values():
+        h = extract(network)
+        expected = Hierarchy(
+            [rename[t] for t in h.tags], [(rename[p], rename[c]) for p, c in h.edges]
+        )
+        assert extract(renamed) == expected
