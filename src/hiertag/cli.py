@@ -1,12 +1,13 @@
 """Command-line entry point.
 
 Verb subcommands: generate, extract, evaluate, curve, randomize, tree. Every
-run emits exactly one manifest ("key TAB value" lines) recording the resolved
-parameters, inputs, outputs, toolkit version and wall-clock duration; the
-stored argv line lets `hiertag --manifest FILE` replay the run (a manifest
-whose argv is itself a replay is rejected). Seeded subcommands are
-byte-reproducible: their random work is split into seeded cells, each with
-its own derived stream.
+run emits exactly one manifest ("key TAB value" lines): `subcommand`, then the
+subcommand's options under their option names (dashes become underscores,
+booleans are `true`/`false`) with the sizes `extract` counts, then `out`,
+`version`, `duration_s` and `argv`. The argv line lets `hiertag --manifest
+FILE` replay the run (a manifest whose argv is itself a replay is rejected).
+Seeded subcommands are byte-reproducible: their random work is split into
+seeded cells, each with its own derived stream.
 """
 from __future__ import annotations
 
@@ -106,7 +107,11 @@ def _parse_descriptor(option: str, parse: Callable[[str], tuple], text: str) -> 
         raise ValueError(f"{option} {text!r}: {exc}") from None
 
 
-def _cmd_generate(args: argparse.Namespace) -> list[tuple[str, str]]:
+def _option_rows(args: argparse.Namespace, *names: str) -> list[tuple[str, object]]:
+    return [(name, getattr(args, name)) for name in names]
+
+
+def _cmd_generate(args: argparse.Namespace) -> list[tuple[str, object]]:
     h = load_hierarchy(args.hierarchy)
     config = BenchmarkConfig(
         object_count=args.objects,
@@ -123,66 +128,46 @@ def _cmd_generate(args: argparse.Namespace) -> list[tuple[str, str]]:
     except ValueError as exc:
         raise ValueError(f"{args.hierarchy}: {exc}") from None
     _write_output(args.out, ("\t".join(tags) + "\n" for tags in objects), sys.stdout)
-    return [
-        ("hierarchy", args.hierarchy),
-        ("objects", str(args.objects)),
-        ("tags_per_object", args.tags_per_object),
-        ("p_rw", str(args.p_rw)),
-        ("walk", args.walk),
-        ("profile", args.profile),
-        ("seed", str(args.seed)),
-        ("out", args.out),
-    ]
+    return _option_rows(
+        args, "hierarchy", "objects", "tags_per_object", "p_rw", "walk", "profile", "seed"
+    )
 
 
-def _cmd_extract(args: argparse.Namespace) -> list[tuple[str, str]]:
-    corpus = load_corpus(args.input, with_ids=args.with_ids)
-    network = build_cooccurrence(corpus)
-    entries = [
-        ("input", args.input),
-        ("with_ids", str(args.with_ids).lower()),
-        ("algorithm", args.algorithm),
-        ("objects", str(corpus.n_objects)),
-        ("tags", str(corpus.n_tags)),
-        ("pairs", str(network.n_pairs)),
-    ]
+def _cmd_extract(args: argparse.Namespace) -> list[tuple[str, object]]:
+    # params are checked before the corpus is read, so a bad option fails fast
     if args.algorithm == "a":
-        h = extract_a(network, AlgoAParams(omega=args.omega))
-        entries.append(("omega", str(args.omega)))
+        params = AlgoAParams(omega=args.omega)
+        options = ("omega",)
     elif args.algorithm == "b":
         params = AlgoBParams(
             z_threshold=args.z_threshold, force_single_root=args.force_single_root
         )
+        options = ("z_threshold", "force_single_root")
+    elif args.algorithm == "heymann":
+        params = HeymannParams(
+            similarity_threshold=args.similarity_threshold, centrality_kind=args.centrality
+        )
+        options = ("similarity_threshold", "centrality")
+    else:
+        params = SchmitzParams(t_subsume=args.t_subsume, min_cooccurrence=args.min_cooccurrence)
+        options = ("t_subsume", "min_cooccurrence")
+    corpus = load_corpus(args.input, with_ids=args.with_ids)
+    network = build_cooccurrence(corpus)
+    rows = _option_rows(args, "input", "with_ids", "algorithm")
+    rows += [("objects", corpus.n_objects), ("tags", corpus.n_tags), ("pairs", network.n_pairs)]
+    rows += _option_rows(args, *options)
+    if args.algorithm == "b":
         pruned = prune_network(network, params.z_threshold)
         h = extract_b_from_pruned(pruned, params)
-        entries.append(("z_threshold", str(args.z_threshold)))
-        entries.append(("force_single_root", str(args.force_single_root).lower()))
-        entries.append(("pairs_kept", str(pruned.n_pairs)))
-    elif args.algorithm == "heymann":
-        h = extract_heymann(
-            network,
-            HeymannParams(
-                similarity_threshold=args.similarity_threshold,
-                centrality_kind=args.centrality,
-            ),
-        )
-        entries.append(("similarity_threshold", str(args.similarity_threshold)))
-        entries.append(("centrality", args.centrality))
+        rows.append(("pairs_kept", pruned.n_pairs))
     else:
-        h = extract_schmitz(
-            network,
-            SchmitzParams(
-                t_subsume=args.t_subsume, min_cooccurrence=args.min_cooccurrence
-            ),
-        )
-        entries.append(("t_subsume", str(args.t_subsume)))
-        entries.append(("min_cooccurrence", str(args.min_cooccurrence)))
+        extractors = {"a": extract_a, "heymann": extract_heymann, "schmitz": extract_schmitz}
+        h = extractors[args.algorithm](network, params)
     _write_output(args.out, [hierarchy_to_text(h)], sys.stdout)
-    entries.append(("out", args.out))
-    return entries
+    return rows
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> list[tuple[str, str]]:
+def _cmd_evaluate(args: argparse.Namespace) -> list[tuple[str, object]]:
     exact = _load_tree(args.exact, "evaluate --lmi") if args.lmi else load_hierarchy(args.exact)
     recon = load_hierarchy(args.recon)
     if SYNTHETIC_ROOT in recon.tags and SYNTHETIC_ROOT not in exact.tags:
@@ -197,21 +182,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[tuple[str, str]]:
         seed=args.seed,
     )
     _write_output(args.out, [report.to_text()], sys.stdout)
-    entries = [
-        ("exact", args.exact),
-        ("recon", args.recon),
-        ("lmi", str(args.lmi).lower()),
-        ("seed", str(args.seed)),
-        ("out", args.out),
-    ]
-    if args.lmi:
-        entries.insert(3, ("curve_order", args.curve_order))
-        entries.insert(4, ("curve_runs", str(args.curve_runs)))
-        entries.insert(5, ("curve_grid_step", str(args.curve_grid_step)))
-    return entries
+    curve = ("curve_order", "curve_runs", "curve_grid_step") if args.lmi else ()
+    return _option_rows(args, "exact", "recon", "lmi", *curve, "seed")
 
 
-def _cmd_curve(args: argparse.Namespace) -> list[tuple[str, str]]:
+def _cmd_curve(args: argparse.Namespace) -> list[tuple[str, object]]:
     h = _load_tree(args.input, "curve")
     curve = decay_curve(
         h,
@@ -221,32 +196,19 @@ def _cmd_curve(args: argparse.Namespace) -> list[tuple[str, str]]:
         seed=args.seed,
     )
     _write_output(args.out, [curve.to_text()], sys.stdout)
-    return [
-        ("input", args.input),
-        ("order", args.order),
-        ("runs", str(args.runs)),
-        ("grid_step", str(args.grid_step)),
-        ("seed", str(args.seed)),
-        ("out", args.out),
-    ]
+    return _option_rows(args, "input", "order", "runs", "grid_step", "seed")
 
 
-def _cmd_randomize(args: argparse.Namespace) -> list[tuple[str, str]]:
+def _cmd_randomize(args: argparse.Namespace) -> list[tuple[str, object]]:
     h = _load_tree(args.input, "randomize")
     rewired = rewire(h, args.fraction, args.order, random.Random(args.seed))
     _write_output(args.out, [hierarchy_to_text(rewired)], sys.stdout)
-    return [
-        ("input", args.input),
-        ("fraction", str(args.fraction)),
-        ("order", args.order),
-        ("seed", str(args.seed)),
-        ("out", args.out),
-    ]
+    return _option_rows(args, "input", "fraction", "order", "seed")
 
 
-def _cmd_tree(args: argparse.Namespace) -> list[tuple[str, str]]:
+def _cmd_tree(args: argparse.Namespace) -> list[tuple[str, object]]:
     _write_output(args.out, [hierarchy_to_text(binary_tree(args.levels))], sys.stdout)
-    return [("levels", str(args.levels)), ("out", args.out)]
+    return _option_rows(args, "levels")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,17 +305,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(args: argparse.Namespace, argv: list[str], entries: list[tuple[str, str]], started: float) -> None:
-    rows = [("subcommand", args.cmd)]
-    rows.extend(entries)
-    rows.append(("version", __version__))
-    rows.append(("duration_s", f"{time.perf_counter() - started:.3f}"))
-    rows.append(("argv", "\t".join(argv)))
-    text = "".join(f"{k}\t{v}\n" for k, v in rows)
+def _write_manifest(
+    args: argparse.Namespace, argv: list[str], rows: list[tuple[str, object]], started: float
+) -> None:
+    rows = [
+        ("subcommand", args.cmd),
+        *rows,
+        ("out", args.out),
+        ("version", __version__),
+        ("duration_s", f"{time.perf_counter() - started:.3f}"),
+        ("argv", "\t".join(argv)),
+    ]
+    text = "".join(
+        f"{key}\t{str(value).lower() if isinstance(value, bool) else value}\n"
+        for key, value in rows
+    )
     path = args.manifest_out
     if path is None:
-        out = getattr(args, "out", "-")
-        path = f"{out}.manifest" if out != "-" else "-"
+        path = f"{args.out}.manifest" if args.out != "-" else "-"
     _write_output(path, [text], sys.stderr)
 
 
@@ -380,11 +349,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(raw_argv)
     started = time.perf_counter()
     try:
-        entries = args.handler(args)
+        rows = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(args, raw_argv, entries, started)
+    _write_manifest(args, raw_argv, rows, started)
     return 0
 
 

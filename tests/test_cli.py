@@ -330,6 +330,7 @@ def test_extract_errors_name_the_file_and_line(tmp_path, capsys, content, messag
         ("heymann", ["--similarity-threshold", "5"], "similarity_threshold must be in [0, 1]"),
         ("schmitz", ["--t-subsume", "7"], "t_subsume must be in [0, 1], got 7.0"),
         ("schmitz", ["--min-cooccurrence", "-1"], "min_cooccurrence must be >= 0, got -1"),
+        ("a", ["--omega", "0"], "omega must be in (0, 1]"),
     ],
 )
 def test_extract_rejects_out_of_range_baseline_params(
@@ -337,11 +338,13 @@ def test_extract_rejects_out_of_range_baseline_params(
 ):
     corpus = _write_nested_corpus(tmp_path / "corpus.tsv")
     out = tmp_path / "h.tsv"
-    code = main(["extract", corpus, "--algorithm", algorithm, *option, "--out", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}")
-    assert len(err.strip().splitlines()) == 1
+    # options are checked before the corpus is read, so a missing corpus gives the same error
+    for path in (corpus, str(tmp_path / "missing.tsv")):
+        code = main(["extract", path, "--algorithm", algorithm, *option, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert len(err.strip().splitlines()) == 1
     assert sorted(os.listdir(tmp_path)) == ["corpus.tsv"]
 
 

@@ -10,6 +10,12 @@ The calibration digests pin `rewire` and `decay_curve` bytes, recorded
 before `rewire` moved from a per-link subtree search to a parent array. A
 rewired tree depends on every `random.Random` call `rewire` makes, so any
 change in the draw sequence shows up here.
+
+The manifest digests pin every row of every subcommand's manifest except
+`duration_s`, recorded before the rows moved from hand-written per-command
+lists to one rule over the parsed options. The runs use relative paths
+inside a temporary directory, so the `input`, `out` and `argv` rows are the
+same on every machine.
 """
 from __future__ import annotations
 
@@ -33,6 +39,7 @@ from hiertag import (
     hierarchy_to_text,
     rewire,
 )
+from hiertag.cli import main
 
 EXTRACTORS = {
     "a": extract_a,
@@ -134,3 +141,81 @@ def test_rewired_trees_match_pinned_digests(tree):
 def test_decay_curves_match_pinned_digests(order):
     curve = decay_curve(binary_tree(8), order, runs=2, seed=5)
     assert _sha256(curve.to_text()) == CURVES[order]
+
+
+MANIFEST_RUNS = [
+    ["tree", "--levels", "6", "--out", "exact.tsv"],
+    [
+        "generate", "--hierarchy", "exact.tsv", "--objects", "5000", "--seed", "1",
+        "--out", "corpus.tsv",
+    ],
+    [
+        "generate", "--hierarchy", "exact.tsv", "--objects", "3000",
+        "--tags-per-object", "fixed:2", "--p-rw", "0.3", "--walk", "uniform:1:2",
+        "--profile", "power-law:1.5", "--seed", "7", "--out", "corpus_pl.tsv",
+    ],
+    [
+        "extract", "corpus.tsv", "--algorithm", "a", "--omega", "0.5", "--threads", "2",
+        "--out", "recon_a.tsv",
+    ],
+    [
+        "extract", "corpus.tsv", "--algorithm", "b", "--z-threshold", "5",
+        "--force-single-root", "--out", "recon_b.tsv",
+    ],
+    [
+        "extract", "corpus.tsv", "--algorithm", "heymann", "--centrality", "closeness",
+        "--similarity-threshold", "0.2", "--out", "recon_heymann.tsv",
+    ],
+    [
+        "extract", "corpus_pl.tsv", "--algorithm", "schmitz", "--t-subsume", "0.7",
+        "--min-cooccurrence", "5", "--out", "recon_schmitz.tsv",
+    ],
+    ["evaluate", "exact.tsv", "recon_b.tsv", "--out", "report_b.tsv"],
+    [
+        "evaluate", "exact.tsv", "recon_heymann.tsv", "--lmi", "--curve-order", "leaf-first",
+        "--curve-runs", "1", "--curve-grid-step", "0.25", "--seed", "3", "--out", "lmi.tsv",
+    ],
+    [
+        "curve", "exact.tsv", "--order", "top-first", "--runs", "1", "--grid-step", "0.25",
+        "--out", "curve.tsv",
+    ],
+    [
+        "randomize", "exact.tsv", "--fraction", "0.2", "--order", "leaf-first", "--seed", "4",
+        "--out", "random.tsv", "--manifest-out", "random.manifest",
+    ],
+]
+
+MANIFESTS = {
+    "corpus.tsv.manifest": "aefa7305f1ea39c7a25c62fc35fbdbddd829a52633392419ee3a4ed89a3e25ae",
+    "corpus_pl.tsv.manifest": "0204c2e746c7e69c3f3e862b1c1e622621a1698ec4a65b0277c2ad08c0fb1ff0",
+    "curve.tsv.manifest": "0d493b3d62abd5d36994b3605913b180d2c8a91df0e2645b91ce68a6af10e293",
+    "exact.tsv.manifest": "28ac632e4fd20508c78ca5a0ad0b73a8037a4e7f358e4801f581f3995774fb5b",
+    "lmi.tsv.manifest": "42715fad1a8e605b9ca11aecd695337b5ce4fd716a1eded3d41080bc8fafd6fd",
+    "random.manifest": "dbbadd485f0b08282d6f8dae720b4fc644d33b7047d66301595a183f7ae338c4",
+    "recon_a.tsv.manifest": "8af9525ce2f99b9484411a4ec1512e5af811435b0c0489ad1c41db3c4df397c4",
+    "recon_b.tsv.manifest": "177f347fc9d9e0fcc3e75415d40159678c9ca47ab710def3b95072efc0d95f38",
+    "recon_heymann.tsv.manifest": "b58eff37daaf0817f377eb9d5c69e49f1044f3182b4834516738ed86f8f2843a",
+    "recon_schmitz.tsv.manifest": "f0907853965f83f6a477d71bffdc3bffcc325d41b874ccb686074d4cc3cbb7b2",
+    "report_b.tsv.manifest": "2959f95ba9499de9e26610a4c5c061a3a4b98388b7c07ca37d734c4ac36be350",
+    "stderr": "a310a0f4214630c9dd2717d622b5c121cb77eb3c4c29a8d268e007d8fadf7aca",
+}
+
+
+def _manifest_digest(text):
+    return _sha256("".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith("duration_s\t")
+    ))
+
+
+def test_manifests_match_pinned_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in MANIFEST_RUNS:
+        assert main(argv) == 0
+    got = {
+        path.name: _manifest_digest(path.read_text(encoding="utf-8"))
+        for path in tmp_path.glob("*manifest")
+    }
+    capsys.readouterr()
+    assert main(["tree", "--levels", "2"]) == 0
+    got["stderr"] = _manifest_digest(capsys.readouterr().err)
+    assert got == MANIFESTS
