@@ -143,7 +143,7 @@ def extract_heymann(
 
 def strip_synthetic_root(h: Hierarchy) -> Hierarchy:
     """Drop the synthetic root; its children become roots of the forest."""
-    if SYNTHETIC_ROOT not in h.children:
+    if SYNTHETIC_ROOT not in h.tags:
         return h
     tags = [t for t in h.tags if t != SYNTHETIC_ROOT]
     edges = [(p, c) for p, c in h.edges if p != SYNTHETIC_ROOT and c != SYNTHETIC_ROOT]

@@ -33,7 +33,7 @@ def parse_count_distribution(text: str) -> tuple:
         return ("fixed", k)
     if kind == "poisson":
         lam = float(arg)
-        if lam <= 0:
+        if not lam > 0:
             raise ValueError("poisson mean must be > 0")
         return ("poisson", lam)
     raise ValueError(f"unknown tags-per-object distribution {text!r}")
@@ -57,7 +57,7 @@ def parse_profile(text: str) -> tuple:
         return ("linear-depth",)
     if kind == "power-law":
         exponent = float(arg) if arg else 2.0
-        if exponent <= 0:
+        if not exponent > 0:
             raise ValueError("power-law exponent must be > 0")
         return ("power-law", exponent)
     raise ValueError(f"unknown frequency profile {text!r}")
@@ -77,6 +77,11 @@ class BenchmarkConfig:
             raise ValueError("object_count must be >= 1")
         if not 0.0 <= self.p_random_walk <= 1.0:
             raise ValueError("p_random_walk must be in [0, 1]")
+        # each descriptor's text form ("poisson:3.0") goes through its parser,
+        # so a descriptor and its command-line option obey the same rules
+        parse_count_distribution(":".join(map(str, self.tags_per_object)))
+        parse_walk_length(":".join(map(str, self.walk_length)))
+        parse_profile(":".join(map(str, self.frequency_profile)))
 
 
 def frequency_profile(
@@ -119,13 +124,13 @@ def _poisson_draw(rng: random.Random, lam: float) -> int:
 def _make_chunk(
     h_tags: tuple[str, ...],
     cum: list[float],
-    nbrs: dict[str, tuple[str, ...]],
+    nbrs: list[tuple[int, ...]],
     config: BenchmarkConfig,
     chunk_index: int,
     count: int,
 ) -> list[list[str]]:
     rng = random.Random(derive_seed(config.seed, "objects", chunk_index))
-    total = cum[-1]
+    total, last = cum[-1], len(cum) - 1
     t_kind = config.tags_per_object
     w_lo, w_hi = config.walk_length[1], config.walk_length[2]
     p_rw = config.p_random_walk
@@ -137,8 +142,8 @@ def _make_chunk(
             n_t = 0
             while n_t < 1:
                 n_t = _poisson_draw(rng, t_kind[1])
-        first = h_tags[min(bisect_right(cum, rng.random() * total), len(h_tags) - 1)]
-        tags = [first]
+        first = min(bisect_right(cum, rng.random() * total), last)
+        drawn = [first]
         for _ in range(n_t - 1):
             if rng.random() < p_rw:
                 steps = rng.randint(w_lo, w_hi)
@@ -147,16 +152,10 @@ def _make_chunk(
                     nb = nbrs[cur]
                     if nb:
                         cur = nb[rng.randrange(len(nb))]
-                tags.append(cur)
+                drawn.append(cur)
             else:
-                tags.append(h_tags[min(bisect_right(cum, rng.random() * total), len(h_tags) - 1)])
-        seen = set()
-        obj = []
-        for t in tags:
-            if t not in seen:
-                seen.add(t)
-                obj.append(t)
-        out.append(obj)
+                drawn.append(min(bisect_right(cum, rng.random() * total), last))
+        out.append([h_tags[i] for i in dict.fromkeys(drawn)])
     return out
 
 

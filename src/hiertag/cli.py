@@ -91,12 +91,12 @@ def _read_manifest_argv(path: str) -> list[str]:
     raise ValueError(f"manifest {path!r} has no argv line to replay")
 
 
-def _grid_from_step(step: float) -> tuple[float, ...]:
+def _grid_from_step(option: str, step: float) -> tuple[float, ...]:
     if not 0.0 < step <= 1.0:
-        raise ValueError("--grid-step must be in (0, 1]")
+        raise ValueError(f"{option} must be in (0, 1]")
     points = round(1.0 / step)
     if abs(points * step - 1.0) > 1e-9:
-        raise ValueError("--grid-step must divide 1 evenly")
+        raise ValueError(f"{option} must divide 1 evenly")
     return tuple(i / points for i in range(points + 1))
 
 
@@ -168,6 +168,8 @@ def _cmd_extract(args: argparse.Namespace) -> list[tuple[str, object]]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> list[tuple[str, object]]:
+    # the grid serves only --lmi, and is checked before any file is read
+    grid = _grid_from_step("--curve-grid-step", args.curve_grid_step) if args.lmi else None
     exact = _load_tree(args.exact, "evaluate --lmi") if args.lmi else load_hierarchy(args.exact)
     recon = load_hierarchy(args.recon)
     if SYNTHETIC_ROOT in recon.tags and SYNTHETIC_ROOT not in exact.tags:
@@ -178,7 +180,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[tuple[str, object]]:
         with_lmi=args.lmi,
         curve_order=args.curve_order,
         curve_runs=args.curve_runs,
-        curve_grid=_grid_from_step(args.curve_grid_step),
+        curve_grid=grid,
         seed=args.seed,
     )
     _write_output(args.out, [report.to_text()], sys.stdout)
@@ -187,14 +189,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[tuple[str, object]]:
 
 
 def _cmd_curve(args: argparse.Namespace) -> list[tuple[str, object]]:
+    grid = _grid_from_step("--grid-step", args.grid_step)
     h = _load_tree(args.input, "curve")
-    curve = decay_curve(
-        h,
-        order=args.order,
-        runs=args.runs,
-        grid=_grid_from_step(args.grid_step),
-        seed=args.seed,
-    )
+    curve = decay_curve(h, order=args.order, runs=args.runs, grid=grid, seed=args.seed)
     _write_output(args.out, [curve.to_text()], sys.stdout)
     return _option_rows(args, "input", "order", "runs", "grid_step", "seed")
 

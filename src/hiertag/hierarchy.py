@@ -8,8 +8,7 @@ declares an isolated tag.
 from __future__ import annotations
 
 import random
-from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .textio import TextFormatError
 
@@ -27,10 +26,12 @@ class Hierarchy:
 
     Acyclicity is validated at construction time; duplicate edges collapse.
     Tags are kept in sorted order, which fixes the canonical indexing used by
-    seeded operations such as :func:`rewire`.
+    seeded operations such as :func:`rewire`. Traversals run on positions in
+    `tags`: each tag's children as ascending positions, its parent count, and
+    a topological order (Kahn's, ties by position), all built once here.
     """
 
-    __slots__ = ("tags", "edges", "children", "parents", "roots", "_topo")
+    __slots__ = ("tags", "edges", "roots", "_children", "_n_parents", "_order")
 
     def __init__(self, tags: Iterable[str], edges: Iterable[tuple[str, str]]):
         tag_set = set(tags)
@@ -43,31 +44,29 @@ class Hierarchy:
             edge_set.add((parent, child))
         self.tags: tuple[str, ...] = tuple(sorted(tag_set))
         self.edges: frozenset[tuple[str, str]] = frozenset(edge_set)
-        children: dict[str, list[str]] = {t: [] for t in self.tags}
-        parents: dict[str, list[str]] = {t: [] for t in self.tags}
-        for parent, child in sorted(edge_set):
-            children[parent].append(child)
-            parents[child].append(parent)
-        self.children: dict[str, tuple[str, ...]] = {t: tuple(c) for t, c in children.items()}
-        self.parents: dict[str, tuple[str, ...]] = {t: tuple(p) for t, p in parents.items()}
-        self.roots: tuple[str, ...] = tuple(t for t in self.tags if not self.parents[t])
-        self._topo = self._topological_order()
-
-    def _topological_order(self) -> tuple[str, ...]:
-        indeg = {t: len(self.parents[t]) for t in self.tags}
-        queue = deque(t for t in self.tags if indeg[t] == 0)
-        order = []
-        while queue:
-            t = queue.popleft()
-            order.append(t)
-            for c in self.children[t]:
+        position = dict(zip(self.tags, range(len(self.tags))))
+        children: list[list[int]] = [[] for _ in self.tags]
+        n_parents = [0] * len(self.tags)
+        for parent, child in edge_set:
+            c = position[child]
+            children[position[parent]].append(c)
+            n_parents[c] += 1
+        for cs in children:
+            cs.sort()
+        self._children = children
+        self._n_parents = n_parents
+        self.roots: tuple[str, ...] = tuple(t for t, k in zip(self.tags, n_parents) if not k)
+        indeg = n_parents.copy()
+        order = [i for i, k in enumerate(indeg) if not k]
+        for v in order:  # grows while it is read, so it serves as the queue
+            for c in children[v]:
                 indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
+                if not indeg[c]:
+                    order.append(c)
         if len(order) != len(self.tags):
-            cyclic = sorted(t for t, d in indeg.items() if d > 0)
+            cyclic = [t for t, k in zip(self.tags, indeg) if k]
             raise CycleError(f"hierarchy contains a directed cycle through {cyclic[:5]}")
-        return tuple(order)
+        self._order = order
 
     @property
     def n_tags(self) -> int:
@@ -78,29 +77,30 @@ class Hierarchy:
         return len(self.edges)
 
     def is_forest(self) -> bool:
-        return all(len(self.parents[t]) <= 1 for t in self.tags)
+        return max(self._n_parents, default=0) <= 1
 
     def is_tree(self) -> bool:
         return len(self.roots) == 1 and self.is_forest()
 
     def depths(self) -> dict[str, int]:
-        """Minimum edge distance from any root, per tag."""
-        depth = {t: 0 for t in self.roots}
-        queue = deque(self.roots)
-        while queue:
-            t = queue.popleft()
-            for c in self.children[t]:
-                if c not in depth or depth[t] + 1 < depth[c]:
-                    depth[c] = depth[t] + 1
-                    queue.append(c)
-        return depth
+        """Minimum edge distance from any root, per tag, in breadth-first order."""
+        depth = [-1 if k else 0 for k in self._n_parents]
+        order = [i for i, d in enumerate(depth) if not d]
+        for v in order:
+            for c in self._children[v]:
+                if depth[c] < 0:
+                    depth[c] = depth[v] + 1
+                    order.append(c)
+        tags = self.tags
+        return {tags[v]: depth[v] for v in order}
 
-    def undirected_neighbors(self) -> dict[str, tuple[str, ...]]:
-        nbrs: dict[str, set[str]] = {t: set() for t in self.tags}
-        for parent, child in self.edges:
-            nbrs[parent].add(child)
-            nbrs[child].add(parent)
-        return {t: tuple(sorted(s)) for t, s in nbrs.items()}
+    def undirected_neighbors(self) -> list[tuple[int, ...]]:
+        """Each tag's parents and children as ascending positions in `tags`."""
+        nbrs: list[list[int]] = [list(cs) for cs in self._children]
+        for p, cs in enumerate(self._children):
+            for c in cs:
+                nbrs[c].append(p)
+        return [tuple(sorted(vs)) for vs in nbrs]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hierarchy):
@@ -150,9 +150,10 @@ def load_hierarchy(path: str) -> Hierarchy:
 
 
 def hierarchy_to_text(h: Hierarchy) -> str:
-    lines = [f"{p}\t{c}" for p, c in sorted(h.edges)]
-    linked = {t for e in h.edges for t in e}
-    lines.extend(t for t in h.tags if t not in linked)
+    """Edges sorted by (parent, child), then the isolated tags."""
+    tags = h.tags
+    lines = [f"{tags[p]}\t{tags[c]}" for p, cs in enumerate(h._children) for c in cs]
+    lines.extend(t for t, cs, k in zip(tags, h._children, h._n_parents) if not cs and not k)
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -163,14 +164,15 @@ def save_hierarchy(h: Hierarchy, path: str) -> None:
 
 def descendant_table(h: Hierarchy) -> dict[str, frozenset[str]]:
     """All descendants (children, grandchildren, ...) per tag, excluding the tag."""
-    table: dict[str, frozenset[str]] = {}
-    for t in reversed(h._topo):
+    tags = h.tags
+    below: list[frozenset[str]] = [frozenset()] * len(tags)
+    for v in reversed(h._order):
         acc: set[str] = set()
-        for c in h.children[t]:
-            acc.add(c)
-            acc |= table[c]
-        table[t] = frozenset(acc)
-    return table
+        for c in h._children[v]:
+            acc.add(tags[c])
+            acc |= below[c]
+        below[v] = frozenset(acc)
+    return {tags[v]: below[v] for v in reversed(h._order)}
 
 
 def binary_tree(levels: int) -> Hierarchy:
@@ -193,12 +195,12 @@ REWIRING_ORDERS = ("leaf-first", "random", "top-first")
 def forest_parents(h: Hierarchy) -> list[int] | None:
     """Each tag's parent as a position in `h.tags`, -1 for a root; None when
     some tag has several parents."""
-    position = dict(zip(h.tags, range(len(h.tags))))
-    parent = []
-    for ps in map(h.parents.__getitem__, h.tags):
-        if len(ps) > 1:
-            return None
-        parent.append(position[ps[0]] if ps else -1)
+    if not h.is_forest():
+        return None
+    parent = [-1] * len(h.tags)
+    for p, cs in enumerate(h._children):
+        for c in cs:
+            parent[c] = p
     return parent
 
 

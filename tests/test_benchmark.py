@@ -70,6 +70,24 @@ def test_config_validation():
         BenchmarkConfig(object_count=10, p_random_walk=1.5)
 
 
+@pytest.mark.parametrize(
+    "descriptors, message",
+    [
+        ({"tags_per_object": ("poisson", 0.0)}, "poisson mean must be > 0"),
+        ({"tags_per_object": ("poisson", float("nan"))}, "poisson mean must be > 0"),
+        ({"tags_per_object": ("fixed", 0)}, "fixed tag count must be >= 1"),
+        ({"tags_per_object": ("binomial", 3)}, "unknown tags-per-object distribution"),
+        ({"walk_length": ("uniform", 3, 1)}, "walk length bounds must satisfy 1 <= lo <= hi"),
+        ({"frequency_profile": ("power-law", -1.0)}, "power-law exponent must be > 0"),
+        ({"frequency_profile": ("zipf", 2.0)}, "unknown frequency profile"),
+    ],
+)
+def test_config_rejects_bad_descriptors(descriptors, message):
+    # each of these once hung, silently changed or failed mid-generation
+    with pytest.raises(ValueError, match=message):
+        BenchmarkConfig(object_count=5, p_random_walk=0.5, **descriptors)
+
+
 def test_linear_depth_profile_weights():
     # chain depths differ by one per level, so weights run d_max..1 top-down
     weights = frequency_profile(_chain(), ("linear-depth",))

@@ -172,6 +172,32 @@ def test_curve_rejects_grid_step_not_dividing_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_evaluate_without_lmi_ignores_the_curve_grid_step(tmp_path):
+    exact = _write_chain(tmp_path / "exact.tsv")
+    plain, stepped = tmp_path / "plain.tsv", tmp_path / "stepped.tsv"
+    assert main(["evaluate", exact, exact, "--out", str(plain)]) == 0
+    argv = ["evaluate", exact, exact, "--curve-grid-step", "0.3", "--out", str(stepped)]
+    assert main(argv) == 0
+    assert stepped.read_text() == plain.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["curve", "missing.tsv", "--grid-step", "0.3"], "--grid-step"),
+        (
+            ["evaluate", "missing.tsv", "missing.tsv", "--lmi", "--curve-grid-step", "0.3"],
+            "--curve-grid-step",
+        ),
+    ],
+)
+def test_grid_step_is_checked_before_any_file_is_read(tmp_path, monkeypatch, capsys, argv, option):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {option} must divide 1 evenly\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_randomize_fraction_zero_is_identity(tmp_path):
     source = _write_chain(tmp_path / "h.tsv")
     out = tmp_path / "rewired.tsv"
@@ -430,6 +456,8 @@ def test_generate_from_an_empty_hierarchy_names_the_file(tmp_path, capsys, profi
         ("--walk", "uniform:3:1", "walk length bounds must satisfy 1 <= lo <= hi"),
         ("--profile", "power-law:x", "could not convert string to float: 'x'"),
         ("--profile", "flat", "unknown frequency profile 'flat'"),
+        ("--tags-per-object", "poisson:nan", "poisson mean must be > 0"),
+        ("--profile", "power-law:nan", "power-law exponent must be > 0"),
     ],
 )
 def test_generate_descriptor_errors_name_the_option(tmp_path, capsys, option, value, message):

@@ -16,6 +16,13 @@ The manifest digests pin every row of every subcommand's manifest except
 lists to one rule over the parsed options. The runs use relative paths
 inside a temporary directory, so the `input`, `out` and `argv` rows are the
 same on every machine.
+
+The generator and DAG pins were recorded before `Hierarchy` moved from
+name-keyed children and parents dicts to child positions, and before the
+generator walked positions instead of names. The generated corpora depend on
+every `random.Random` call the generator makes; the DAG digests pin the
+order of `depths` (breadth-first) and `descendant_table` (reversed
+topological), which `partition_nmi` sums in.
 """
 from __future__ import annotations
 
@@ -31,12 +38,16 @@ from hiertag import (
     binary_tree,
     build_cooccurrence,
     decay_curve,
+    descendant_table,
     extract_a,
     extract_b,
     extract_heymann,
     extract_schmitz,
     generate,
     hierarchy_to_text,
+    link_ratios,
+    nmi,
+    partition_nmi,
     rewire,
 )
 from hiertag.cli import main
@@ -219,3 +230,97 @@ def test_manifests_match_pinned_digests(tmp_path, monkeypatch, capsys):
     assert main(["tree", "--levels", "2"]) == 0
     got["stderr"] = _manifest_digest(capsys.readouterr().err)
     assert got == MANIFESTS
+
+
+# `hiertag generate` bytes on the 63-tag tree, 5,000 objects, seed 3
+GENERATE_CORPORA = {
+    ("linear-depth", "fixed:2", "0"): "b6b589f5e809e6281960cd298757331f8672ac821787e612aefea06e38575084",
+    ("linear-depth", "fixed:2", "1"): "f5044aeb48ce8a4b3fa7ae0c57f647637a490ce8f7bb34959ba2e837b50e7237",
+    ("linear-depth", "poisson:3", "0"): "7cb9b653e2445e97b37e7c600d6b8d1b71ed884c0bf96ced0b5883f8800abf8d",
+    ("linear-depth", "poisson:3", "1"): "9e067ad6e89e7d40740aad67f613ac99dcbc29e1cd88d98276beca76014c65d7",
+    ("power-law:1.2", "fixed:2", "0"): "33f1c88ed971533549aba6e20551c3b078012956b493ef72295d1aa0d087ea6d",
+    ("power-law:1.2", "fixed:2", "1"): "1f6949f5397e1a9ec611fa1722d988ae6aeebbfff8633214272b1d9d068c1aae",
+    ("power-law:1.2", "poisson:3", "0"): "ea40bda169688b68fa7589a2d1eae8da7fed16a4268d233da06ff4ab712c9bd1",
+    ("power-law:1.2", "poisson:3", "1"): "ba5e62bc255c78e3815b1019c808423e9982582a7767f262695185493f5f67c7",
+}
+
+
+@pytest.mark.parametrize("profile", ["linear-depth", "power-law:1.2"])
+def test_generated_corpora_match_pinned_digests(profile, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["tree", "--levels", "6", "--out", "exact.tsv"]) == 0
+    got = {}
+    for prof, count, p_rw in GENERATE_CORPORA:
+        if prof != profile:
+            continue
+        argv = [
+            "generate", "--hierarchy", "exact.tsv", "--objects", "5000", "--profile", prof,
+            "--tags-per-object", count, "--p-rw", p_rw, "--seed", "3", "--out", "corpus.tsv",
+        ]
+        assert main(argv) == 0
+        got[prof, count, p_rw] = hashlib.sha256((tmp_path / "corpus.tsv").read_bytes()).hexdigest()
+    assert got == {key: d for key, d in GENERATE_CORPORA.items() if key[0] == profile}
+
+
+def _random_dag(seed, n=60):
+    """A multi-parent DAG with isolated tags: the k-th tag of one fixed,
+    unsorted name order gets 0-3 parents among the tags before it. Names sort
+    in neither construction nor topological order, and any two such DAGs are
+    acyclic together."""
+    rng = random.Random(seed)
+    tags = [f"g{k * 37 % n:02d}" for k in range(n)]
+    edges = [
+        (tags[rng.randrange(k)], tags[k])
+        for k in range(1, n)
+        for _ in range(rng.choice((0, 1, 1, 2, 3)))
+    ]
+    return Hierarchy(tags, edges)
+
+
+DAG_DIGESTS = {
+    "text": "b39574e8358c7016716d9e2ae0b68fffe09c052f77f7830b2f71c231c4406c0f",
+    "depths": "3a09f355139b1e20494e1ce8079c7946020de8018c784ce2587b437b8d04c671",
+    "descendants": "c0231c3ac463c72b3e7ffbe6fc77c92a9c46a399772866ff6caf364428d34724",
+}
+
+# against a second DAG's reversal (inverted and unrelated links), and against
+# half the exact links plus a third of the second DAG's (exact, acceptable,
+# unrelated and missing links)
+DAG_SCORES = {
+    "mixed": (
+        "0.3160213106042406",
+        "0.31602131060424044",
+        "LinkRatios(exact=0.6101694915254238, acceptable=0.6610169491525424, inverted=0.0, "
+        "unrelated=0.3220338983050847, missing=0.01694915254237288)",
+    ),
+    "reversed": (
+        "0.0",
+        "0.0",
+        "LinkRatios(exact=0.0, acceptable=0.0, inverted=0.16, unrelated=0.84, missing=0.0)",
+    ),
+}
+
+
+def test_dag_traversals_match_pinned_digests():
+    h = _random_dag(21)
+    got = {
+        "text": _sha256(hierarchy_to_text(h)),
+        "depths": _sha256(repr(list(h.depths().items()))),
+        # frozenset order follows string hashing, so each set is sorted
+        "descendants": _sha256(repr([(t, sorted(s)) for t, s in descendant_table(h).items()])),
+    }
+    assert got == DAG_DIGESTS
+
+
+@pytest.mark.parametrize("kind", sorted(DAG_SCORES))
+def test_dag_scores_match_pinned_values(kind):
+    exact, other = _random_dag(22), _random_dag(23)
+    if kind == "reversed":
+        edges = [(c, p) for p, c in other.edges]
+    else:
+        edges = sorted(exact.edges)[::2] + sorted(other.edges)[::3]
+    recon = Hierarchy(exact.tags, edges)
+    got = (
+        repr(nmi(exact, recon)), repr(partition_nmi(exact, recon)), repr(link_ratios(exact, recon))
+    )
+    assert got == DAG_SCORES[kind]

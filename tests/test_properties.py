@@ -8,7 +8,8 @@ forests over one tag set, and that the parent-array NMI equals the
 descendant-set NMI bit for bit. Rewiring is compared with a subtree-search
 reference that must make the same random draws, and a decay curve with one
 built cell by cell from `rewire` and the descendant-set NMI. Hierarchy files
-round-trip, and every extractor commutes with renaming the tags.
+round-trip, every traversal of a random DAG equals a brute-force reference
+built from its edges, and every extractor commutes with renaming the tags.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from hiertag.extract_a import extract_a
 from hiertag.extract_b import centrality_rank, extract_b, prune_network
 from hiertag.hierarchy import (
     REWIRING_ORDERS,
+    CycleError,
     Hierarchy,
     descendant_table,
     forest_parents,
@@ -278,7 +280,9 @@ def _rewire_by_subtree_search(h, fraction, order, rng):
     else:
         sign = -1 if order == "leaf-first" else 1
         seq = sorted(non_roots, key=lambda t: (sign * depth[t], t))
-    children = {t: set(h.children[t]) for t in h.tags}
+    children = {t: set() for t in h.tags}
+    for p, c in h.edges:
+        children[p].add(c)
     for child in seq[: int(fraction * len(parent) + 0.5)]:
         blocked, stack = {child}, [child]
         while stack:
@@ -355,9 +359,9 @@ tag_names = st.text(
 
 
 @st.composite
-def dags(draw):
+def dags(draw, max_tags=12):
     """A random DAG: edges only run forward in a random order of the tags."""
-    order = draw(st.permutations(draw(st.lists(tag_names, max_size=12, unique=True))))
+    order = draw(st.permutations(draw(st.lists(tag_names, max_size=max_tags, unique=True))))
     forward = [(i, j) for j in range(len(order)) for i in range(j)]
     chosen = draw(st.lists(st.sampled_from(forward), unique=True)) if forward else []
     return Hierarchy(order, [(order[i], order[j]) for i, j in chosen])
@@ -371,6 +375,65 @@ def test_hierarchy_text_round_trips(h):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(hierarchy_to_text(h))
         assert load_hierarchy(path) == h
+
+
+def _reach(tags, edges):
+    """Brute-force closure: per tag, the tags it reaches along one or more edges."""
+    reach = {t: {c for p, c in edges if p == t} for t in tags}
+    grown = True
+    while grown:
+        grown = False
+        for t in tags:
+            more = set().union(*(reach[c] for c in reach[t])) - reach[t]
+            if more:
+                reach[t] |= more
+                grown = True
+    return reach
+
+
+@relaxed
+@given(dags(max_tags=40))
+def test_hierarchy_traversals_equal_brute_force(h):
+    tags, edges = h.tags, sorted(h.edges)
+    reach = _reach(tags, edges)
+    table = descendant_table(h)
+    assert table == {t: frozenset(reach[t]) for t in tags}
+    # reversed topological order: every child comes before its parents
+    rank = {t: k for k, t in enumerate(table)}
+    assert all(rank[c] < rank[p] for p, c in edges)
+    n_parents = Counter(c for _, c in edges)
+    assert h.roots == tuple(t for t in tags if not n_parents[t])
+    assert h.is_forest() == all(k <= 1 for k in n_parents.values())
+    depth = dict.fromkeys(h.roots, 0)
+    for _ in tags:
+        for p, c in edges:
+            if p in depth:
+                depth[c] = min(depth.get(c, len(tags)), depth[p] + 1)
+    got = h.depths()
+    assert got == depth
+    assert list(got.values()) == sorted(got.values())  # breadth-first order
+    linked = {t for e in edges for t in e}
+    lines = [f"{p}\t{c}" for p, c in edges] + [t for t in tags if t not in linked]
+    assert hierarchy_to_text(h) == "".join(line + "\n" for line in lines)
+    position = {t: k for k, t in enumerate(tags)}
+    assert h.undirected_neighbors() == [
+        tuple(sorted(position[u] for e in edges if t in e for u in e if u != t)) for t in tags
+    ]
+
+
+@relaxed
+@given(dags().filter(lambda h: h.n_tags >= 2), st.data())
+def test_cyclic_edge_sets_raise_cycle_error(h, data):
+    # a two-tag cycle added to a DAG, whose other links stay peelable
+    a, b = data.draw(st.lists(st.sampled_from(h.tags), min_size=2, max_size=2, unique=True))
+    tags, edges = h.tags, sorted(h.edges) + [(a, b), (b, a)]
+    reach = _reach(tags, edges)
+    on_cycle = {t for t in tags if t in reach[t]}
+    # Kahn's peeling stops at the cycles and leaves every tag below them
+    stuck = sorted(t for t in tags if t in on_cycle or any(t in reach[u] for u in on_cycle))
+    with pytest.raises(CycleError) as err:
+        Hierarchy(tags, edges)
+    assert str(err.value) == f"hierarchy contains a directed cycle through {stuck[:5]}"
 
 
 EXTRACTORS = {
