@@ -35,6 +35,10 @@ def parse_count_distribution(text: str) -> tuple:
         lam = float(arg)
         if not lam > 0:
             raise ValueError("poisson mean must be > 0")
+        # a draw has a tag only if random() > exp(-mean), and random() never
+        # exceeds 1 - 2**-53, so below about 1.7e-16 the wait never ends
+        if math.exp(-lam) >= 1.0 - 2.0**-53:
+            raise ValueError("poisson mean is too small for any draw to give a tag")
         return ("poisson", lam)
     raise ValueError(f"unknown tags-per-object distribution {text!r}")
 
@@ -78,10 +82,14 @@ class BenchmarkConfig:
         if not 0.0 <= self.p_random_walk <= 1.0:
             raise ValueError("p_random_walk must be in [0, 1]")
         # each descriptor's text form ("poisson:3.0") goes through its parser,
-        # so a descriptor and its command-line option obey the same rules
-        parse_count_distribution(":".join(map(str, self.tags_per_object)))
-        parse_walk_length(":".join(map(str, self.walk_length)))
-        parse_profile(":".join(map(str, self.frequency_profile)))
+        # so a descriptor and its command-line option obey the same rules, and
+        # the parsed form is kept: ("power-law",) becomes ("power-law", 2.0)
+        for name, parse in (
+            ("tags_per_object", parse_count_distribution),
+            ("walk_length", parse_walk_length),
+            ("frequency_profile", parse_profile),
+        ):
+            object.__setattr__(self, name, parse(":".join(map(str, getattr(self, name)))))
 
 
 def frequency_profile(
@@ -109,18 +117,6 @@ def frequency_profile(
     raise ValueError(f"unknown frequency profile kind {kind!r}")
 
 
-def _poisson_draw(rng: random.Random, lam: float) -> int:
-    # Knuth's method; fine for the small means used for tags-per-object
-    limit = math.exp(-lam)
-    k = 0
-    p = 1.0
-    while True:
-        p *= rng.random()
-        if p <= limit:
-            return k
-        k += 1
-
-
 def _make_chunk(
     h_tags: tuple[str, ...],
     cum: list[float],
@@ -130,31 +126,40 @@ def _make_chunk(
     count: int,
 ) -> list[list[str]]:
     rng = random.Random(derive_seed(config.seed, "objects", chunk_index))
-    total, last = cum[-1], len(cum) - 1
-    t_kind = config.tags_per_object
-    w_lo, w_hi = config.walk_length[1], config.walk_length[2]
+    # bound methods in locals; `_randbelow(k)` is the draw `randrange(k)` and
+    # `randint(lo, lo + k - 1) - lo` make, so the stream is the same
+    random_, randbelow = rng.random, rng._randbelow
+    # bisecting all but the last bound gives min(bisect_right(cum, x), last)
+    # in one call: a draw that rounds up to the total still picks the last tag
+    total, head = cum[-1], cum[:-1]
+    kind, k = config.tags_per_object
+    fixed, limit = kind == "fixed", math.exp(-k)
+    w_lo, w_span = config.walk_length[1], config.walk_length[2] - config.walk_length[1] + 1
     p_rw = config.p_random_walk
     out = []
     for _ in range(count):
-        if t_kind[0] == "fixed":
-            n_t = t_kind[1]
+        if fixed:
+            n_t = k
         else:
+            # Knuth's Poisson draw, repeated until it gives at least one tag
             n_t = 0
             while n_t < 1:
-                n_t = _poisson_draw(rng, t_kind[1])
-        first = min(bisect_right(cum, rng.random() * total), last)
+                n_t, p = 0, random_()
+                while p > limit:
+                    n_t += 1
+                    p *= random_()
+        first = bisect_right(head, random_() * total)
         drawn = [first]
         for _ in range(n_t - 1):
-            if rng.random() < p_rw:
-                steps = rng.randint(w_lo, w_hi)
+            if random_() < p_rw:
                 cur = first
-                for _ in range(steps):
+                for _ in range(w_lo + randbelow(w_span)):
                     nb = nbrs[cur]
                     if nb:
-                        cur = nb[rng.randrange(len(nb))]
+                        cur = nb[randbelow(len(nb))]
                 drawn.append(cur)
             else:
-                drawn.append(min(bisect_right(cum, rng.random() * total), last))
+                drawn.append(bisect_right(head, random_() * total))
         out.append([h_tags[i] for i in dict.fromkeys(drawn)])
     return out
 

@@ -6,38 +6,50 @@ collapse (set semantics), so a pair of tags is counted at most once per
 object. With `with_ids=True` the first field of each line is an opaque
 object id and is skipped.
 
-The co-occurrence network is one symmetric CSR matrix of integer counts,
-computed as the off-diagonal part of X^T X, where X is the object x tag
-incidence matrix (X[o, i] = 1 iff object o carries tag i).
+A corpus is the object x tag incidence matrix X (X[o, i] = 1 iff object o
+carries tag i), held as CSR arrays. Every way in (a file, object lists, the
+generator) goes through one array core that takes objects a block at a
+time: it interns a block's tags in one pass, then sorts and deduplicates
+the tag ids of all its objects in one array sort. The co-occurrence network
+is one symmetric CSR matrix of integer counts, computed as the off-diagonal
+part of X^T X.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice, repeat
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 from scipy import sparse
 
 from .textio import TextFormatError
 
+# characters of file text per block, and objects per block of object lists
+BLOCK_CHARS = 1 << 16
+BLOCK_OBJECTS = 1 << 12
+
 
 class CorpusFormatError(TextFormatError):
     """A malformed objects file or object list."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TagCorpus:
-    """Interned corpus: tag names map to dense ids in first-appearance order.
+    """Interned corpus: the object x tag incidence matrix X as CSR arrays.
 
-    Objects are stored as sorted tuples of tag ids; `freq[i]` is the number of
-    objects carrying tag i (Q_i), `n_objects` is Q.
+    Tag names map to dense ids in first-appearance order. Object o carries
+    the tag ids `tags[indptr[o]:indptr[o + 1]]`, ascending and distinct (both
+    int64, read-only). `freq[i]` is the number of objects carrying tag i
+    (Q_i), `n_objects` is Q. `objects` is a tuple-per-object view built on
+    first use, for inspection.
     """
 
     names: tuple[str, ...]
-    objects: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    tags: np.ndarray
     freq: tuple[int, ...]
 
     @property
@@ -46,7 +58,24 @@ class TagCorpus:
 
     @property
     def n_objects(self) -> int:
-        return len(self.objects)
+        return len(self.indptr) - 1
+
+    @cached_property
+    def objects(self) -> tuple[tuple[int, ...], ...]:
+        """`objects[o]` is object o's ascending tuple of tag ids."""
+        ptr = self.indptr.tolist()
+        ids = self.tags.tolist()
+        return tuple(tuple(ids[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TagCorpus):
+            return NotImplemented
+        return (
+            self.names == other.names
+            and self.freq == other.freq
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.tags, other.tags)
+        )
 
 
 class _Interner(dict):
@@ -57,29 +86,75 @@ class _Interner(dict):
         return i
 
 
-def corpus_from_object_lists(object_tags: Iterable[Sequence[str]]) -> TagCorpus:
+def _corpus(blocks: Iterable[tuple[Iterable, np.ndarray]]) -> TagCorpus:
+    """The array core: `blocks` yields (tokens, sizes) pairs, the tokens of
+    consecutive objects back to back and each object's token count. Tokens
+    are interned in first-appearance order, and a token repeated within an
+    object counts once."""
     index = _Interner()
     lookup = index.__getitem__
-    objects = [tuple(sorted({*map(lookup, tags)})) for tags in object_tags]
-    if not objects:
+    tag_parts, size_parts = [], []
+    for tokens, sizes in blocks:
+        if not sizes.all():
+            raise CorpusFormatError("object with no tags")
+        ids = np.fromiter(map(lookup, tokens), dtype=np.int64, count=sizes.sum())
+        # one sort of (object, id) keys orders the ids of every object in the
+        # block; equal neighbours are a tag repeated within one object
+        n = len(index)
+        key = np.repeat(np.arange(0, len(sizes) * n, n, dtype=np.int64), sizes) + ids
+        key.sort()
+        distinct = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=distinct[1:])
+        obj, ids = np.divmod(key[distinct], n)
+        tag_parts.append(ids)
+        size_parts.append(np.bincount(obj, minlength=len(sizes)))
+    if not size_parts:
         raise CorpusFormatError("zero objects")
-    if not all(objects):
-        raise CorpusFormatError("object with no tags")
-    ids = np.fromiter(chain.from_iterable(objects), dtype=np.intp)
-    freq = tuple(np.bincount(ids, minlength=len(index)).tolist())
-    return TagCorpus(tuple(index), tuple(objects), freq)
+    sizes = np.concatenate(size_parts)
+    indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    tags = np.concatenate(tag_parts)
+    indptr.flags.writeable = tags.flags.writeable = False
+    freq = np.bincount(tags, minlength=len(index))
+    return TagCorpus(tuple(index), indptr, tags, tuple(freq.tolist()))
+
+
+def _list_blocks(object_tags: Iterable[Sequence]) -> Iterator[tuple[Iterable, np.ndarray]]:
+    it = iter(object_tags)
+    while block := list(islice(it, BLOCK_OBJECTS)):
+        sizes = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
+        yield chain.from_iterable(block), sizes
+
+
+def _file_blocks(fh: TextIO, with_ids: bool) -> Iterator[tuple[Iterable, np.ndarray]]:
+    carry = ""
+    while text := carry + (chunk := fh.read(BLOCK_CHARS)):
+        # a block ends at its last newline; the rest goes with the next block
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        carry = text[cut:]
+        # split("\n"), not splitlines(): text mode has already turned \r\n
+        # and \r into \n, and splitlines() would also break on \v, \f,
+        # \x1c-\x1e, \x85, \u2028 and \u2029, which may occur inside a tag.
+        # Lines that are all whitespace or start with '#' after it are skipped.
+        rows = [r for r in text[:cut].split("\n") if (s := r.lstrip()) and s[0] != "#"]
+        if not rows:
+            continue
+        if with_ids:
+            # a row with only an id leaves the tag "", which load_corpus reports
+            rows = [r.partition("\t")[2] for r in rows]
+        sizes = np.fromiter(map(str.count, rows, repeat("\t")), dtype=np.int64, count=len(rows))
+        yield "\t".join(rows).split("\t"), sizes + 1
+
+
+def corpus_from_object_lists(object_tags: Iterable[Sequence[str]]) -> TagCorpus:
+    return _corpus(_list_blocks(object_tags))
 
 
 def load_corpus(path: str, with_ids: bool = False) -> TagCorpus:
     """Read an objects file; errors name the file and, where there is one, the line."""
     try:
         with open(path, encoding="utf-8") as fh:
-            rows = (
-                line.rstrip("\n").split("\t")
-                for line in fh
-                if line.strip() and not line.lstrip().startswith("#")
-            )
-            corpus = corpus_from_object_lists((r[1:] for r in rows) if with_ids else rows)
+            corpus = _corpus(_file_blocks(fh, with_ids))
     except UnicodeDecodeError:
         raise CorpusFormatError.undecodable(path) from None
     except CorpusFormatError:
@@ -181,11 +256,9 @@ class CooccurrenceNetwork:
 def build_cooccurrence(corpus: TagCorpus) -> CooccurrenceNetwork:
     """Count Q_ij for every tag pair as the off-diagonal of X^T X."""
     n = corpus.n_tags
-    starts = np.zeros(corpus.n_objects + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, corpus.objects), dtype=np.int64), out=starts[1:])
-    tags = np.fromiter(chain.from_iterable(corpus.objects), dtype=np.int64)
     x = sparse.csr_matrix(
-        (np.ones(len(tags), dtype=np.int64), tags, starts), shape=(corpus.n_objects, n)
+        (np.ones(len(corpus.tags), dtype=np.int64), corpus.tags, corpus.indptr),
+        shape=(corpus.n_objects, n),
     )
     counts = (x.T @ x).tocsr()
     counts.sort_indices()

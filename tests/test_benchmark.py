@@ -88,6 +88,54 @@ def test_config_rejects_bad_descriptors(descriptors, message):
         BenchmarkConfig(object_count=5, p_random_walk=0.5, **descriptors)
 
 
+@pytest.mark.parametrize("mean", [1e-300, 1e-16, 1.6e-16])
+def test_poisson_mean_too_small_to_draw_a_tag_is_rejected(mean):
+    # exp(-mean) rounds to 1 - 2**-53 or above, and random() never exceeds
+    # that, so the draw of at least one tag would never end
+    with pytest.raises(ValueError, match="poisson mean is too small"):
+        parse_count_distribution(f"poisson:{mean!r}")
+    with pytest.raises(ValueError, match="poisson mean is too small"):
+        BenchmarkConfig(object_count=5, p_random_walk=0.5, tags_per_object=("poisson", mean))
+
+
+def test_smallest_drawable_poisson_mean_is_accepted():
+    assert parse_count_distribution("poisson:1.7e-16") == ("poisson", 1.7e-16)
+
+
+def test_config_keeps_parsed_descriptors():
+    config = BenchmarkConfig(
+        object_count=5,
+        p_random_walk=0.5,
+        tags_per_object=("poisson", 2),
+        frequency_profile=("power-law",),
+    )
+    assert config.tags_per_object == ("poisson", 2.0)
+    assert config.frequency_profile == ("power-law", 2.0)
+
+
+def test_bare_power_law_config_generates_the_default_exponent():
+    # ('power-law',) passed validation but generate() then read a missing exponent
+    h = binary_tree(3)
+    bare = BenchmarkConfig(object_count=400, p_random_walk=0.5, frequency_profile=("power-law",))
+    full = BenchmarkConfig(
+        object_count=400, p_random_walk=0.5, frequency_profile=("power-law", 2.0)
+    )
+    assert generate(h, bare) == generate(h, full)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024])
+def test_randbelow_draws_what_randrange_and_randint_draw(seed):
+    # the generator calls _randbelow(k) for randrange(k) and for
+    # randint(lo, lo + k - 1) - lo; both public calls reduce to it
+    widths = [1, 2, 3, 5, 7, 8, 100, 2**31 + 5, 2**64 + 3] * 20
+    fast, public = random.Random(seed), random.Random(seed)
+    for i, k in enumerate(widths):
+        assert fast._randbelow(k) == public.randrange(k)
+        lo = i % 4
+        assert lo + fast._randbelow(k) == public.randint(lo, lo + k - 1)
+    assert fast.getstate() == public.getstate()
+
+
 def test_linear_depth_profile_weights():
     # chain depths differ by one per level, so weights run d_max..1 top-down
     weights = frequency_profile(_chain(), ("linear-depth",))

@@ -469,6 +469,24 @@ def test_generate_descriptor_errors_name_the_option(tmp_path, capsys, option, va
     assert sorted(os.listdir(tmp_path)) == ["tree.tsv"]
 
 
+def test_generate_rejects_a_poisson_mean_too_small_to_draw_a_tag(tmp_path, monkeypatch, capsys):
+    # such a mean once hung generation; should the check go, the draw fails
+    # at once instead of hanging
+    def no_draws(*args):
+        raise AssertionError("the generator ran")
+
+    monkeypatch.setattr("hiertag.benchmark._make_chunk", no_draws)
+    tree = _write_chain(tmp_path / "tree.tsv")
+    out = tmp_path / "g.txt"
+    argv = ["generate", "--hierarchy", tree, "--objects", "5", "--tags-per-object", "poisson:1e-300"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --tags-per-object 'poisson:1e-300': "
+        "poisson mean is too small for any draw to give a tag\n"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["tree.tsv"]
+
+
 def test_failed_generate_leaves_the_older_output_untouched(tmp_path, monkeypatch, capsys):
     tree = tmp_path / "tree.tsv"
     main(["tree", "--levels", "3", "--out", str(tree)])

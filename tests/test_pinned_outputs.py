@@ -23,6 +23,12 @@ generator walked positions instead of names. The generated corpora depend on
 every `random.Random` call the generator makes; the DAG digests pin the
 order of `depths` (breadth-first) and `descendant_table` (reversed
 topological), which `partition_nmi` sums in.
+
+The loaded-network digests pin the CSR arrays `build_cooccurrence` makes from
+a `hiertag generate` file read by `load_corpus`, recorded while the corpus
+still held one tuple of tag ids per object and before the loader moved to
+reading and interning blocks of text. The same objects with a comment header,
+blank lines, CRLF line endings and object ids must give the same arrays.
 """
 from __future__ import annotations
 
@@ -46,6 +52,7 @@ from hiertag import (
     generate,
     hierarchy_to_text,
     link_ratios,
+    load_corpus,
     nmi,
     partition_nmi,
     rewire,
@@ -324,3 +331,35 @@ def test_dag_scores_match_pinned_values(kind):
         repr(nmi(exact, recon)), repr(partition_nmi(exact, recon)), repr(link_ratios(exact, recon))
     )
     assert got == DAG_SCORES[kind]
+
+
+# `hiertag generate` on the 63-tag tree, 5,000 objects, seed 3, loaded and counted
+LOADED_NETWORK = {
+    "names": "8752708b420725f566dadb0ba561f8a2a24f77c5382529de5249a57102de66cd",
+    "freq": "a10262cf23bf8f24e1f31e6e844624ffea5932ec90317603ca278b2dbb51a25b",
+    "indptr": "0f11e9bc092eeb2dc616f9736cbb983521b7045fb687e5430494896916d87391",
+    "indices": "998cf691e96fdbcadf2998f1da102dc055d04e6f92fa72268bf0451787d4ab82",
+    "weights": "7803e355ee1fb370a8d5d3a546de1ff2aa2246f6bd436bc0e231004862141a40",
+}
+
+
+def _network_digests(network):
+    got = {"names": _sha256("\n".join(network.names)), "freq": _sha256(repr(network.freq))}
+    for name in ("indptr", "indices", "weights"):
+        got[name] = hashlib.sha256(getattr(network, name).astype("<i8").tobytes()).hexdigest()
+    return got
+
+
+def test_loaded_networks_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["tree", "--levels", "6", "--out", "exact.tsv"]) == 0
+    argv = ["generate", "--hierarchy", "exact.tsv", "--objects", "5000", "--seed", "3"]
+    assert main(argv + ["--out", "corpus.tsv"]) == 0
+    assert _network_digests(build_cooccurrence(load_corpus("corpus.tsv"))) == LOADED_NETWORK
+    lines = (tmp_path / "corpus.tsv").read_text(encoding="utf-8").splitlines()
+    messy = ["# objects with ids", ""] + [
+        f"obj{k}\t{line}" + ("\n \t" if k % 97 == 0 else "") for k, line in enumerate(lines)
+    ]
+    (tmp_path / "messy.tsv").write_bytes("\r\n".join(messy).encode("utf-8"))
+    network = build_cooccurrence(load_corpus("messy.tsv", with_ids=True))
+    assert _network_digests(network) == LOADED_NETWORK
