@@ -100,6 +100,11 @@ def _grid_from_step(option: str, step: float) -> tuple[float, ...]:
     return tuple(i / points for i in range(points + 1))
 
 
+def _check_runs(option: str, runs: int) -> None:
+    if runs < 1:
+        raise ValueError(f"{option} must be >= 1")
+
+
 def _parse_descriptor(option: str, parse: Callable[[str], tuple], text: str) -> tuple:
     try:
         return parse(text)
@@ -168,30 +173,40 @@ def _cmd_extract(args: argparse.Namespace) -> list[tuple[str, object]]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> list[tuple[str, object]]:
-    # the grid serves only --lmi, and is checked before any file is read
-    grid = _grid_from_step("--curve-grid-step", args.curve_grid_step) if args.lmi else None
+    # the curve options serve only --lmi, and are checked before any file is read
+    grid = None
+    if args.lmi:
+        _check_runs("--curve-runs", args.curve_runs)
+        grid = _grid_from_step("--curve-grid-step", args.curve_grid_step)
     exact = _load_tree(args.exact, "evaluate --lmi") if args.lmi else load_hierarchy(args.exact)
     recon = load_hierarchy(args.recon)
     if SYNTHETIC_ROOT in recon.tags and SYNTHETIC_ROOT not in exact.tags:
         recon = strip_synthetic_root(recon)
-    report = evaluate_hierarchies(
-        exact,
-        recon,
-        with_lmi=args.lmi,
-        curve_order=args.curve_order,
-        curve_runs=args.curve_runs,
-        curve_grid=grid,
-        seed=args.seed,
-    )
+    try:
+        report = evaluate_hierarchies(
+            exact,
+            recon,
+            with_lmi=args.lmi,
+            curve_order=args.curve_order,
+            curve_runs=args.curve_runs,
+            curve_grid=grid,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{args.exact}, {args.recon}: {exc}") from None
     _write_output(args.out, [report.to_text()], sys.stdout)
     curve = ("curve_order", "curve_runs", "curve_grid_step") if args.lmi else ()
     return _option_rows(args, "exact", "recon", "lmi", *curve, "seed")
 
 
 def _cmd_curve(args: argparse.Namespace) -> list[tuple[str, object]]:
+    _check_runs("--runs", args.runs)
     grid = _grid_from_step("--grid-step", args.grid_step)
     h = _load_tree(args.input, "curve")
-    curve = decay_curve(h, order=args.order, runs=args.runs, grid=grid, seed=args.seed)
+    try:
+        curve = decay_curve(h, order=args.order, runs=args.runs, grid=grid, seed=args.seed)
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
     _write_output(args.out, [curve.to_text()], sys.stdout)
     return _option_rows(args, "input", "order", "runs", "grid_step", "seed")
 

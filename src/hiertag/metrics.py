@@ -11,15 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from .hierarchy import (
-    Hierarchy,
-    _rewire_parents,
-    _rewire_plan,
-    descendant_table,
-    forest_parents,
-)
+from .hierarchy import Hierarchy, _rewire_parents, _rewire_plan, descendant_table
 from .seeds import derive_seed
 
 
@@ -43,6 +35,30 @@ class LinkRatios:
     missing: float
 
 
+def _below(children: list[list[int]], order: list[int], bits: list[int]) -> list[int]:
+    """Descendant bitsets: per position v, the int whose bit j is set iff
+    position j lies below v. `order` lists every parent before its children
+    and `bits[j]` is ``1 << j``."""
+    below = [0] * len(children)
+    for v in reversed(order):
+        acc = 0
+        for c in children[v]:
+            acc |= below[c] | bits[c]
+        below[v] = acc
+    return below
+
+
+def _parent_list_below(parent: list[int], bits: list[int]) -> list[int]:
+    """:func:`_below` of a forest given as a parent list (-1 for a root)."""
+    children: list[list[int]] = [[] for _ in parent]
+    order: list[int] = []
+    for c, p in enumerate(parent):
+        (children[p] if p >= 0 else order).append(c)
+    for v in order:  # grows while it is read: a breadth-first order
+        order.extend(children[v])
+    return _below(children, order, bits)
+
+
 def link_ratios(exact: Hierarchy, recon: Hierarchy) -> LinkRatios:
     """Classify reconstructed links against the exact hierarchy.
 
@@ -51,85 +67,32 @@ def link_ratios(exact: Hierarchy, recon: Hierarchy) -> LinkRatios:
     inverted if it has a path v ~> u, and unrelated otherwise. All counts are
     normalized by max(N - 1, M_r); the missing ratio covers the shortfall
     (N - 1 - M_r) when the reconstruction has fewer links than a spanning
-    tree would.
+    tree would. Paths are read off the exact side's descendant bitsets.
     """
     _check_same_tags(exact, recon)
     n = exact.n_tags
     if n < 2:
         raise ValueError("link ratios need at least 2 tags")
-    desc = descendant_table(exact)
+    below = _below(exact._children, exact._order, [1 << i for i in range(n)])
     m_r = recon.n_edges
     norm = max(n - 1, m_r)
-    n_exact = n_acceptable = n_inverted = n_unrelated = 0
-    for u, v in recon.edges:
-        if v in desc[u]:
-            n_acceptable += 1
-            if (u, v) in exact.edges:
-                n_exact += 1
-        elif u in desc[v]:
-            n_inverted += 1
-        else:
-            n_unrelated += 1
+    n_acceptable = n_inverted = n_unrelated = 0
+    for u, vs in enumerate(recon._children):
+        for v in vs:
+            if below[u] >> v & 1:
+                n_acceptable += 1
+            elif below[v] >> u & 1:
+                n_inverted += 1
+            else:
+                n_unrelated += 1
     n_missing = (n - 1 - m_r) if m_r < n - 1 else 0
     return LinkRatios(
-        n_exact / norm,
+        len(exact.edges & recon.edges) / norm,
         n_acceptable / norm,
         n_inverted / norm,
         n_unrelated / norm,
         n_missing / norm,
     )
-
-
-def preorder_intervals(parent: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-order intervals of a forest given as a parent list (-1 for a root).
-
-    Returns `start` and `end`, with the descendants of i exactly the j that
-    satisfy start[i] < start[j] < end[i].
-    """
-    n = len(parent)
-    children: list[list[int]] = [[] for _ in range(n)]
-    stack: list[int] = []
-    for c, p in enumerate(parent):
-        (children[p] if p >= 0 else stack).append(c)
-    order: list[int] = []
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(children[v])
-    size = [1] * n
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0:
-            size[p] += size[v]
-    start = np.empty(n, dtype=np.int64)
-    start[order] = np.arange(n)
-    return start, start + np.array(size, dtype=np.int64)
-
-
-def forest_overlaps(
-    start: np.ndarray, end: np.ndarray, recon_parent: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|D_e(i)|, |D_r(i)| and |D_e(i) & D_r(i)| per tag for two forests.
-
-    The exact forest comes as its :func:`preorder_intervals`, the
-    reconstruction as a parent list over the same positions. Every tag climbs
-    its reconstructed ancestors together with all other tags, one vectorized
-    pass per level, and each ancestor met counts once for |D_r| and once more
-    for the overlap when the tag also falls inside its exact interval.
-    """
-    n = len(start)
-    up = np.array(recon_parent, dtype=np.int64)
-    dr = np.zeros(n, dtype=np.int64)
-    both = np.zeros(n, dtype=np.int64)
-    has_parent = up >= 0
-    anc, pos = up[has_parent], start[has_parent]
-    while len(anc):
-        np.add.at(dr, anc, 1)
-        np.add.at(both, anc[(start[anc] < pos) & (pos < end[anc])], 1)
-        anc = up[anc]
-        live = anc >= 0
-        anc, pos = anc[live], pos[live]
-    return end - start - 1, dr, both
 
 
 def _nmi_from_counts(de: list[int], dr: list[int], both: list[int]) -> float:
@@ -151,8 +114,13 @@ def _nmi_from_counts(de: list[int], dr: list[int], both: list[int]) -> float:
     return max(-2.0 * num / den, 0.0)
 
 
-def _forest_nmi(start: np.ndarray, end: np.ndarray, recon_parent: list[int]) -> float:
-    return _nmi_from_counts(*(a.tolist() for a in forest_overlaps(start, end, recon_parent)))
+def _nmi_from_bits(below_e: list[int], de: list[int], below_r: list[int]) -> float:
+    """:func:`_nmi_from_counts` over descendant bitsets, with |D_e| as `de`."""
+    return _nmi_from_counts(
+        de,
+        [r.bit_count() for r in below_r],
+        [(e & r).bit_count() for e, r in zip(below_e, below_r)],
+    )
 
 
 def nmi(exact: Hierarchy, recon: Hierarchy) -> float:
@@ -166,11 +134,8 @@ def nmi(exact: Hierarchy, recon: Hierarchy) -> float:
         sum_i p_e * ln(p_e)  +  sum_i p_r * ln(p_r)
 
     with 0*ln(0) = 0, clamped at 0. Identical hierarchies score exactly 1;
-    a pair of edgeless hierarchies has no defined score and raises.
-
-    When both inputs are forests the counts come from :func:`forest_overlaps`
-    on parent arrays; otherwise from :func:`descendant_table` sets. Both feed
-    the same float loop in tag order, so the two routes agree bit for bit.
+    a pair of edgeless hierarchies has no defined score and raises. The
+    counts are bit counts of descendant bitsets, for forests and DAGs alike.
     """
     _check_same_tags(exact, recon)
     n = exact.n_tags
@@ -180,15 +145,10 @@ def nmi(exact: Hierarchy, recon: Hierarchy) -> float:
         raise ValueError("undefined NMI: both hierarchies are edgeless")
     if exact.edges == recon.edges:
         return 1.0
-    exact_parent, recon_parent = forest_parents(exact), forest_parents(recon)
-    if exact_parent is not None and recon_parent is not None:
-        return _forest_nmi(*preorder_intervals(exact_parent), recon_parent)
-    de = descendant_table(exact)
-    dr = descendant_table(recon)
-    tags = exact.tags
-    return _nmi_from_counts(
-        [len(de[t]) for t in tags], [len(dr[t]) for t in tags], [len(de[t] & dr[t]) for t in tags]
-    )
+    bits = [1 << i for i in range(n)]
+    below_e = _below(exact._children, exact._order, bits)
+    below_r = _below(recon._children, recon._order, bits)
+    return _nmi_from_bits(below_e, [e.bit_count() for e in below_e], below_r)
 
 
 def partition_nmi(exact: Hierarchy, recon: Hierarchy) -> float:
@@ -271,9 +231,10 @@ def decay_curve(
     per-fraction means are made non-increasing by isotonic regression.
 
     Each cell equals ``nmi(exact, rewire(exact, f, order, rng))`` with the
-    cell's stream, computed without building either hierarchy: the rewiring
-    kernel works on the tree's parent list, and the exact side's pre-order
-    intervals and the link order are prepared once per curve.
+    cell's stream, computed without building a rewired hierarchy: the
+    rewiring kernel works on the tree's parent list, each cell takes the
+    descendant bitsets of its rewired list, and the exact side's bitsets and
+    the link order are prepared once per curve.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -284,14 +245,19 @@ def decay_curve(
     parent, links = _rewire_plan(exact, 0.0, order)
     if len(parent) < 2:
         raise ValueError("NMI needs at least 2 tags")
-    start, end = preorder_intervals(parent)
+    bits = [1 << i for i in range(len(parent))]
+    below_e = _below(exact._children, exact._order, bits)
+    de = [e.bit_count() for e in below_e]
     means = []
     for fi, f in enumerate(fs):
         scores = []
         for run in range(runs):
             rng = random.Random(derive_seed(seed, "rewire", fi, run))
             rewired = _rewire_parents(parent, links, f, rng, order == "random")
-            scores.append(1.0 if rewired == parent else _forest_nmi(start, end, rewired))
+            if rewired == parent:
+                scores.append(1.0)
+            else:
+                scores.append(_nmi_from_bits(below_e, de, _parent_list_below(rewired, bits)))
         means.append(sum(scores) / runs)
     return DecayCurve(fs, tuple(_isotonic_non_increasing(means)), runs)
 

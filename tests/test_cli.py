@@ -198,6 +198,53 @@ def test_grid_step_is_checked_before_any_file_is_read(tmp_path, monkeypatch, cap
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["curve", "missing.tsv", "--runs", "0"], "--runs"),
+        (["evaluate", "missing.tsv", "missing.tsv", "--lmi", "--curve-runs", "0"], "--curve-runs"),
+    ],
+)
+def test_run_counts_are_checked_before_any_file_is_read(
+    tmp_path, monkeypatch, capsys, argv, option
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {option} must be >= 1\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        (
+            {"t.tsv": "a\tb\n", "u.tsv": "a\tc\n"},
+            ["evaluate", "t.tsv", "u.tsv"],
+            "t.tsv, u.tsv: mismatched tag sets: only in exact ['b'], only in reconstructed ['c']",
+        ),
+        (
+            {"one.tsv": "a\n"},
+            ["evaluate", "one.tsv", "one.tsv"],
+            "one.tsv, one.tsv: link ratios need at least 2 tags",
+        ),
+        (
+            {"two.tsv": "a\nb\n"},
+            ["evaluate", "two.tsv", "two.tsv"],
+            "two.tsv, two.tsv: undefined NMI: both hierarchies are edgeless",
+        ),
+        ({"one.tsv": "a\n"}, ["curve", "one.tsv"], "one.tsv: NMI needs at least 2 tags"),
+    ],
+    ids=["mismatched-tags", "one-tag-ratios", "edgeless", "one-tag-curve"],
+)
+def test_metric_errors_name_the_files(tmp_path, monkeypatch, capsys, files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main(argv + ["--out", "out.tsv"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == sorted(files)
+
+
 def test_randomize_fraction_zero_is_identity(tmp_path):
     source = _write_chain(tmp_path / "h.tsv")
     out = tmp_path / "rewired.tsv"

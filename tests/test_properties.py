@@ -4,8 +4,10 @@ the extractors, Heymann's closeness, rewiring and the quality metrics.
 Each kernel property compares an array kernel with the plain per-pair
 definition on random small corpora, where ties and degenerate marginals are
 common. The metric properties check identities that hold for any pair of
-forests over one tag set, and that the parent-array NMI equals the
-descendant-set NMI bit for bit. Rewiring is compared with a subtree-search
+forests over one tag set, that the descendant bitsets behind the NMI equal
+`descendant_table` and the NMI equals the formula over its counts bit for
+bit, for forests and DAGs alike, and that DAG link ratios equal a
+brute-force path search. Rewiring is compared with a subtree-search
 reference that must make the same random draws, and a decay curve with one
 built cell by cell from `rewire` and the descendant-set NMI. Hierarchy files
 round-trip, every traversal of a random DAG equals a brute-force reference
@@ -26,7 +28,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from hiertag import baselines, metrics
+from hiertag import baselines
 from hiertag.baselines import SYNTHETIC_ROOT, HeymannParams, extract_heymann, extract_schmitz
 from hiertag.corpus import build_cooccurrence, corpus_from_object_lists
 from hiertag.extract_a import extract_a
@@ -43,13 +45,15 @@ from hiertag.hierarchy import (
 )
 from hiertag.metrics import (
     DecayCurve,
+    LinkRatios,
+    _below,
     _isotonic_non_increasing,
+    _nmi_from_counts,
+    _parent_list_below,
     decay_curve,
-    forest_overlaps,
     link_ratios,
     nmi,
     partition_nmi,
-    preorder_intervals,
 )
 from hiertag.seeds import derive_seed
 from hiertag.stats import z_from_counts, z_scores
@@ -211,6 +215,33 @@ def test_blocked_closeness_equals_bfs_from_every_tag(graph, block):
     assert got.tolist() == _bfs_closeness(adj)
 
 
+# any text a hierarchy line can carry as a tag: no line breaks or TABs, not
+# blank, and not read as a '#' comment
+tag_names = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=6
+).filter(lambda t: t.strip() and not t.lstrip().startswith("#"))
+
+
+@st.composite
+def dags(draw, max_tags=12, tags=None):
+    """A random DAG, over `tags` when given: edges only run forward in a
+    random order of the tags."""
+    if tags is None:
+        tags = draw(st.lists(tag_names, max_size=max_tags, unique=True))
+    order = draw(st.permutations(tags))
+    forward = [(i, j) for j in range(len(order)) for i in range(j)]
+    chosen = draw(st.lists(st.sampled_from(forward), unique=True)) if forward else []
+    return Hierarchy(order, [(order[i], order[j]) for i, j in chosen])
+
+
+# two random DAGs over the same tags, at least 2 of them
+dag_pairs = (
+    dags()
+    .filter(lambda h: h.n_tags >= 2)
+    .flatmap(lambda h: st.tuples(st.just(h), dags(tags=h.tags)))
+)
+
+
 @st.composite
 def forest_pairs(draw):
     """Two random forests over the same tags. Each is edgeless, one chain
@@ -233,24 +264,41 @@ def forest_pairs(draw):
 
 
 def _descendant_set_nmi(exact, recon):
-    """nmi() forced onto its descendant-set route, the one DAGs take."""
-    with patch.object(metrics, "forest_parents", lambda h: None):
-        return nmi(exact, recon)
+    """Reference NMI: the formula over `descendant_table` counts, with nmi()'s
+    shortcut for identical edge sets."""
+    if exact.edges == recon.edges:
+        return 1.0
+    de, dr = descendant_table(exact), descendant_table(recon)
+    tags = exact.tags
+    return _nmi_from_counts(
+        [len(de[t]) for t in tags], [len(dr[t]) for t in tags], [len(de[t] & dr[t]) for t in tags]
+    )
 
 
 @relaxed
-@given(forest_pairs())
+@given(forest_pairs() | dag_pairs)
 def test_forest_nmi_equals_descendant_set_nmi_exactly(pair):
     exact, recon = pair
     assume(exact.edges or recon.edges)
     assert nmi(exact, recon) == _descendant_set_nmi(exact, recon)
+    tags = exact.tags
+    bits = [1 << i for i in range(len(tags))]
+    below_e, below_r = (_below(h._children, h._order, bits) for h in pair)
     de, dr = descendant_table(exact), descendant_table(recon)
-    counts = forest_overlaps(*preorder_intervals(forest_parents(exact)), forest_parents(recon))
-    assert [a.tolist() for a in counts] == [
-        [len(de[t]) for t in exact.tags],
-        [len(dr[t]) for t in exact.tags],
-        [len(de[t] & dr[t]) for t in exact.tags],
+    assert [{tags[j] for j in range(len(tags)) if b >> j & 1} for b in below_e] == [
+        de[t] for t in tags
     ]
+    assert [[e.bit_count() for e in below_e], [r.bit_count() for r in below_r]] == [
+        [len(de[t]) for t in tags],
+        [len(dr[t]) for t in tags],
+    ]
+    assert [(e & r).bit_count() for e, r in zip(below_e, below_r)] == [
+        len(de[t] & dr[t]) for t in tags
+    ]
+    # a forest's parent list gives the same bitsets as its Hierarchy
+    for h, below in zip(pair, (below_e, below_r)):
+        if h.is_forest():
+            assert _parent_list_below(forest_parents(h), bits) == below
 
 
 @relaxed
@@ -266,6 +314,41 @@ def test_nmi_equals_partition_nmi(pair):
 def test_link_ratios_of_a_forest_sum_to_one(pair):
     r = link_ratios(*pair)
     assert r.acceptable + r.inverted + r.unrelated + r.missing == pytest.approx(1)
+
+
+def _has_path(edges, u, v):
+    """Depth-first search for a directed path u ~> v along `edges`."""
+    seen, stack = {u}, [u]
+    while stack:
+        w = stack.pop()
+        for p, c in edges:
+            if p == w and c not in seen:
+                if c == v:
+                    return True
+                seen.add(c)
+                stack.append(c)
+    return False
+
+
+@relaxed
+@given(dag_pairs)
+def test_dag_link_ratios_equal_brute_force_path_search(pair):
+    exact, recon = pair
+    kinds = Counter()
+    for u, v in recon.edges:
+        if _has_path(exact.edges, u, v):
+            kinds["acceptable"] += 1
+            kinds["exact"] += (u, v) in exact.edges
+        elif _has_path(exact.edges, v, u):
+            kinds["inverted"] += 1
+        else:
+            kinds["unrelated"] += 1
+    n, m_r = exact.n_tags, recon.n_edges
+    norm = max(n - 1, m_r)
+    kinds["missing"] = max(n - 1 - m_r, 0)
+    assert link_ratios(exact, recon) == LinkRatios(
+        *(kinds[k] / norm for k in ("exact", "acceptable", "inverted", "unrelated", "missing"))
+    )
 
 
 def _rewire_by_subtree_search(h, fraction, order, rng):
@@ -349,22 +432,6 @@ def _curve_cell_by_cell(tree, order, runs, grid, seed):
 def test_decay_curve_equals_cell_by_cell_reference(tree, order, runs, grid, seed):
     got = decay_curve(tree, order, runs=runs, grid=grid, seed=seed)
     assert got == _curve_cell_by_cell(tree, order, runs, grid, seed)
-
-
-# any text a hierarchy line can carry as a tag: no line breaks or TABs, not
-# blank, and not read as a '#' comment
-tag_names = st.text(
-    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=6
-).filter(lambda t: t.strip() and not t.lstrip().startswith("#"))
-
-
-@st.composite
-def dags(draw, max_tags=12):
-    """A random DAG: edges only run forward in a random order of the tags."""
-    order = draw(st.permutations(draw(st.lists(tag_names, max_size=max_tags, unique=True))))
-    forward = [(i, j) for j in range(len(order)) for i in range(j)]
-    chosen = draw(st.lists(st.sampled_from(forward), unique=True)) if forward else []
-    return Hierarchy(order, [(order[i], order[j]) for i, j in chosen])
 
 
 @relaxed
