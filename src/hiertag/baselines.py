@@ -46,45 +46,54 @@ def cosine_similarities(network: CooccurrenceNetwork) -> np.ndarray:
     return network.weights / np.sqrt(freq[network.rows] * freq[network.indices])
 
 
-# (source, tag) pairs one block of breadth-first searches holds at once, so a
-# block's visited set and frontier stay a few MB however many tags there are
-CLOSENESS_BLOCK_ENTRIES = 1 << 18
+# (source, tag) pairs one block of breadth-first searches holds at once, one
+# bit each: graphs of up to 8,192 tags run as one block, and above that a
+# block's bitsets stay 8 MB each however many tags there are
+CLOSENESS_BLOCK_ENTRIES = 1 << 26
 
 
 def _closeness(graph: sparse.csr_matrix) -> np.ndarray:
     """Unweighted closeness of every tag: the number of tags it reaches over
     the sum of their hop distances, 0 for a tag that reaches none.
 
-    Breadth-first search from a block of sources at a time: the frontier is a
-    sparse (source, tag) matrix, and one product with the graph moves every
-    search in the block one hop further.
+    Bit-parallel breadth-first search from a block of sources at a time: per
+    tag, a Python int has bit s set once source s has reached it. Each hop
+    ORs the frontier bits of a tag's neighbours, and the bits the tag had not
+    seen reach it at this hop. The graph must be symmetric, so that
+    dist(s, v) = dist(v, s) and the hops that reach v from every source sum
+    to v's own total. A block's visited and frontier bitsets hold at most
+    CLOSENESS_BLOCK_ENTRIES bits each.
     """
     n = graph.shape[0]
     block = max(1, CLOSENESS_BLOCK_ENTRIES // n)
-    scores = np.zeros(n)
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    adj = [indices[indptr[v] : indptr[v + 1]] for v in range(n)]
+    total, reached = [0] * n, [0] * n
     for lo in range(0, n, block):
-        sources = np.arange(lo, min(lo + block, n))
-        b = len(sources)
-        seen = np.zeros((b, n), dtype=bool)
-        seen[np.arange(b), sources] = True
-        total = np.zeros(b, dtype=np.int64)
-        # the frontier row by row: row pointers and the tags of each row
-        indptr, col = np.arange(b + 1), sources
+        seen = [0] * n
+        frontier = {}
+        for s in range(lo, min(lo + block, n)):
+            seen[s] = frontier[s] = 1 << (s - lo)
         hops = 0
-        while len(col):
+        while frontier:
             hops += 1
-            frontier = sparse.csr_matrix((np.ones(len(col)), col, indptr), shape=(b, n))
-            # the product stores each (source, tag) pair once
-            step = frontier @ graph
-            row = np.repeat(np.arange(b), np.diff(step.indptr))
-            new = ~seen[row, step.indices]
-            row, col = row[new], step.indices[new]
-            seen[row, col] = True
-            found = np.bincount(row, minlength=b)
-            total += hops * found
-            indptr = np.concatenate(([0], np.cumsum(found)))
-        reached = seen.sum(axis=1) - 1
-        np.divide(reached, total, out=scores[lo : lo + b], where=total > 0)
+            acc = {}
+            get = acc.get
+            for v, bits in frontier.items():
+                for u in adj[v]:
+                    acc[u] = get(u, 0) | bits
+            frontier = {}
+            for u, bits in acc.items():
+                new = bits & ~seen[u]
+                if new:
+                    seen[u] |= new
+                    frontier[u] = new
+                    found = new.bit_count()
+                    total[u] += hops * found
+                    reached[u] += found
+    reached, total = np.array(reached, dtype=np.int64), np.array(total, dtype=np.int64)
+    scores = np.zeros(n)
+    np.divide(reached, total, out=scores, where=total > 0)
     return scores
 
 

@@ -120,21 +120,25 @@ def frequency_profile(
 def _make_chunk(
     h_tags: tuple[str, ...],
     cum: list[float],
-    nbrs: list[tuple[int, ...]],
+    walk: list[tuple[tuple[int, ...], int, int]],
     config: BenchmarkConfig,
     chunk_index: int,
     count: int,
 ) -> list[list[str]]:
     rng = random.Random(derive_seed(config.seed, "objects", chunk_index))
-    # bound methods in locals; `_randbelow(k)` is the draw `randrange(k)` and
-    # `randint(lo, lo + k - 1) - lo` make, so the stream is the same
-    random_, randbelow = rng.random, rng._randbelow
+    # bounded draws inline CPython's `_randbelow_with_getrandbits(m)`, the draw
+    # behind `randrange(m)` and `randint(lo, lo + m - 1) - lo`: take m's bit
+    # length in bits and draw again while the result is >= m. The stream is
+    # the same (tests/test_benchmark.py checks it against `randrange`),
+    # without a Python frame per draw
+    random_, getrandbits = rng.random, rng.getrandbits
     # bisecting all but the last bound gives min(bisect_right(cum, x), last)
     # in one call: a draw that rounds up to the total still picks the last tag
     total, head = cum[-1], cum[:-1]
     kind, k = config.tags_per_object
     fixed, limit = kind == "fixed", math.exp(-k)
     w_lo, w_span = config.walk_length[1], config.walk_length[2] - config.walk_length[1] + 1
+    w_bits = w_span.bit_length()
     p_rw = config.p_random_walk
     out = []
     for _ in range(count):
@@ -152,11 +156,17 @@ def _make_chunk(
         drawn = [first]
         for _ in range(n_t - 1):
             if random_() < p_rw:
+                steps = getrandbits(w_bits)
+                while steps >= w_span:
+                    steps = getrandbits(w_bits)
                 cur = first
-                for _ in range(w_lo + randbelow(w_span)):
-                    nb = nbrs[cur]
-                    if nb:
-                        cur = nb[randbelow(len(nb))]
+                for _ in range(w_lo + steps):
+                    nb, m, bits = walk[cur]
+                    if m:
+                        r = getrandbits(bits)
+                        while r >= m:
+                            r = getrandbits(bits)
+                        cur = nb[r]
                 drawn.append(cur)
             else:
                 drawn.append(bisect_right(head, random_() * total))
@@ -175,9 +185,10 @@ def iter_object_tags(h: Hierarchy, config: BenchmarkConfig) -> Iterator[list[str
         h, config.frequency_profile, rng=random.Random(derive_seed(config.seed, "profile"))
     )
     cum = list(accumulate(profile[t] for t in h.tags))
-    nbrs = h.undirected_neighbors()
+    # per position: its neighbours, their count and the count's bit length
+    walk = [(nb, len(nb), len(nb).bit_length()) for nb in h.undirected_neighbors()]
     return chain.from_iterable(
-        _make_chunk(h.tags, cum, nbrs, config, ci, min(CHUNK_OBJECTS, config.object_count - start))
+        _make_chunk(h.tags, cum, walk, config, ci, min(CHUNK_OBJECTS, config.object_count - start))
         for ci, start in enumerate(range(0, config.object_count, CHUNK_OBJECTS))
     )
 

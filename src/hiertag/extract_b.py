@@ -17,6 +17,7 @@ one the pruned matrix holds.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,12 @@ CENTRALITY_ITERATIONS = 100
 class AlgoBParams:
     z_threshold: float = 10.0
     force_single_root: bool = False
+
+    def __post_init__(self):
+        # every z fails `z > nan`, so pruning would keep coverage links alone;
+        # -inf (every link) and +inf (coverage links alone) stay accepted
+        if math.isnan(self.z_threshold):
+            raise ValueError(f"z_threshold must be a number, got {self.z_threshold}")
 
 
 def prune_network(network: CooccurrenceNetwork, z_threshold: float) -> CooccurrenceNetwork:

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from hiertag.benchmark import (
@@ -16,6 +21,7 @@ from hiertag.benchmark import (
     parse_walk_length,
 )
 from hiertag.hierarchy import Hierarchy, binary_tree
+from hiertag.seeds import derive_seed
 
 
 def _chain():
@@ -123,10 +129,21 @@ def test_bare_power_law_config_generates_the_default_exponent():
     assert generate(h, bare) == generate(h, full)
 
 
+def _rejection_draw(getrandbits, k):
+    """The generator's inlined bounded draw: k's bit length in bits, drawn
+    again while the result is >= k."""
+    bits = k.bit_length()
+    r = getrandbits(bits)
+    while r >= k:
+        r = getrandbits(bits)
+    return r
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2024])
 def test_randbelow_draws_what_randrange_and_randint_draw(seed):
-    # the generator calls _randbelow(k) for randrange(k) and for
-    # randint(lo, lo + k - 1) - lo; both public calls reduce to it
+    # randrange(k) and randint(lo, lo + k - 1) - lo both reduce to
+    # _randbelow(k); the generator inlines the getrandbits rejection loop that
+    # _randbelow runs on a plain random.Random, checked against randrange below
     widths = [1, 2, 3, 5, 7, 8, 100, 2**31 + 5, 2**64 + 3] * 20
     fast, public = random.Random(seed), random.Random(seed)
     for i, k in enumerate(widths):
@@ -134,6 +151,97 @@ def test_randbelow_draws_what_randrange_and_randint_draw(seed):
         lo = i % 4
         assert lo + fast._randbelow(k) == public.randint(lo, lo + k - 1)
     assert fast.getstate() == public.getstate()
+    loop, public = random.Random(seed), random.Random(seed)
+    for k in list(range(1, 71)) * 5:
+        assert _rejection_draw(loop.getrandbits, k) == public.randrange(k)
+    assert loop.getstate() == public.getstate()
+
+
+def _reference_objects(h, config):
+    """The generator loop written with the public draws: randint(lo, hi) for
+    a walk's length and randrange(len(nb)) for each of its steps."""
+    profile = frequency_profile(
+        h, config.frequency_profile, rng=random.Random(derive_seed(config.seed, "profile"))
+    )
+    cum = list(accumulate(profile[t] for t in h.tags))
+    nbrs = h.undirected_neighbors()
+    kind, k = config.tags_per_object
+    _, w_lo, w_hi = config.walk_length
+
+    def profile_draw(rng):
+        return min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
+
+    out = []
+    for ci, start in enumerate(range(0, config.object_count, CHUNK_OBJECTS)):
+        rng = random.Random(derive_seed(config.seed, "objects", ci))
+        for _ in range(min(CHUNK_OBJECTS, config.object_count - start)):
+            n_t = k if kind == "fixed" else 0
+            while n_t < 1:
+                n_t, p = 0, rng.random()
+                while p > math.exp(-k):
+                    n_t += 1
+                    p *= rng.random()
+            first = profile_draw(rng)
+            drawn = [first]
+            for _ in range(n_t - 1):
+                if rng.random() < config.p_random_walk:
+                    cur = first
+                    for _ in range(rng.randint(w_lo, w_hi)):
+                        nb = nbrs[cur]
+                        if nb:
+                            cur = nb[rng.randrange(len(nb))]
+                    drawn.append(cur)
+                else:
+                    drawn.append(profile_draw(rng))
+            out.append([h.tags[i] for i in dict.fromkeys(drawn)])
+    return out
+
+
+@st.composite
+def generator_hierarchies(draw):
+    """A random forest (one parent at most) or DAG (up to three). Each tag
+    picks its parents among the first `reach` tags before it, so a small reach
+    makes hubs with more than 8 neighbours; tags no one picks and that pick
+    none stay isolated."""
+    n = draw(st.integers(1, 24))
+    reach = draw(st.integers(1, n))
+    most = draw(st.sampled_from([1, 3]))
+    tags = [f"t{k:02d}" for k in range(n)]
+    edges = [
+        (tags[p], tags[j])
+        for j in range(1, n)
+        for p in draw(st.lists(st.integers(0, min(j, reach) - 1), max_size=most, unique=True))
+    ]
+    return Hierarchy(tags, edges)
+
+
+@st.composite
+def generator_configs(draw):
+    if draw(st.booleans()):
+        count = ("fixed", draw(st.integers(1, 6)))
+    else:
+        count = ("poisson", draw(st.floats(0.5, 6.0)))
+    w_lo, width = draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    return BenchmarkConfig(
+        # half the runs span two chunks
+        object_count=draw(st.integers(1, 60) | st.integers(CHUNK_OBJECTS + 1, CHUNK_OBJECTS + 99)),
+        p_random_walk=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        tags_per_object=count,
+        walk_length=("uniform", w_lo, w_lo + width - 1),
+        frequency_profile=draw(st.sampled_from([("linear-depth",), ("power-law", 1.5)])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(deadline=None)
+@given(generator_hierarchies(), generator_configs())
+# a star: one hub with 20 neighbours, every walk step a draw below 20 or 1
+@example(
+    Hierarchy([f"t{k:02d}" for k in range(21)], [("t00", f"t{k:02d}") for k in range(1, 21)]),
+    BenchmarkConfig(CHUNK_OBJECTS + 5, 1.0, ("fixed", 4), ("uniform", 1, 9), seed=11),
+)
+def test_generator_draws_what_the_public_randrange_loop_draws(h, config):
+    assert list(iter_object_tags(h, config)) == _reference_objects(h, config)
 
 
 def test_linear_depth_profile_weights():

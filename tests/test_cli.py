@@ -404,6 +404,7 @@ def test_extract_errors_name_the_file_and_line(tmp_path, capsys, content, messag
         ("schmitz", ["--t-subsume", "7"], "t_subsume must be in [0, 1], got 7.0"),
         ("schmitz", ["--min-cooccurrence", "-1"], "min_cooccurrence must be >= 0, got -1"),
         ("a", ["--omega", "0"], "omega must be in (0, 1]"),
+        ("b", ["--z-threshold", "nan"], "z_threshold must be a number, got nan"),
     ],
 )
 def test_extract_rejects_out_of_range_baseline_params(

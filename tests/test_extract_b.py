@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -99,6 +100,22 @@ def test_default_params():
     params = AlgoBParams()
     assert params.z_threshold == 10.0
     assert params.force_single_root is False
+
+
+def test_nan_z_threshold_is_rejected_and_infinities_are_kept():
+    with pytest.raises(ValueError, match="z_threshold must be a number, got nan"):
+        AlgoBParams(z_threshold=float("nan"))
+    network = _network(_random_objects(random.Random(3), 12, 80))
+    for z in (-math.inf, math.inf):
+        assert extract_b(network, AlgoBParams(z_threshold=z)).is_forest()
+    # -inf keeps every pair; +inf keeps only links that cover half a tag's objects
+    assert prune_network(network, -math.inf).n_pairs == network.n_pairs
+    freq = np.asarray(network.freq)
+    rows, cols, w = network.rows, network.indices, network.weights
+    covering = (w >= 0.5 * freq[rows]) | (w >= 0.5 * freq[cols])
+    pruned = prune_network(network, math.inf)
+    assert pruned.indices.tolist() == cols[covering].tolist()
+    assert 0 < pruned.n_pairs < network.n_pairs
 
 
 def test_empty_network_is_rejected():

@@ -24,7 +24,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -197,8 +197,18 @@ graphs = st.integers(1, 30).flatmap(
 )
 
 
+CHAIN_30 = (30, {(i, i + 1) for i in range(29)})
+
+
 @relaxed
 @given(graphs, st.integers(1, 8))
+# a path 29 hops long, in many blocks and in one block as wide as the graph
+@example(CHAIN_30, 1)
+@example(CHAIN_30, 30)
+# no edges: every tag reaches none and scores 0
+@example((7, set()), 3)
+# two components and two isolated tags; the block wider than the graph
+@example((9, {(0, 1), (1, 2), (2, 0), (3, 4), (5, 4), (6, 5), (4, 6)}), 12)
 def test_blocked_closeness_equals_bfs_from_every_tag(graph, block):
     n, pairs = graph
     adj = [set() for _ in range(n)]
