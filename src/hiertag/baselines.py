@@ -140,14 +140,10 @@ def extract_heymann(
     starts = np.flatnonzero(np.diff(tag, prepend=-1))
     first_inserted = np.minimum.reduceat(pos, starts)
     attached = best_sim >= theta
-    parent = np.full(n, -1)
+    # the synthetic root is tag n, the parent of every tag left unattached
+    parent = np.append(np.full(n, n), -1)
     parent[tag[starts][attached]] = order[first_inserted[attached]]
-
-    names = network.names
-    edges = [
-        (SYNTHETIC_ROOT if p < 0 else names[p], names[i]) for i, p in enumerate(parent.tolist())
-    ]
-    return Hierarchy(names + (SYNTHETIC_ROOT,), edges)
+    return Hierarchy.from_parents(network.names + (SYNTHETIC_ROOT,), parent.tolist())
 
 
 def strip_synthetic_root(h: Hierarchy) -> Hierarchy:
@@ -202,14 +198,13 @@ def extract_schmitz(
         children.setdefault(x, set()).add(y)
         parents.setdefault(y, set()).add(x)
 
-    # per child, (count, parent) of its strongest kept candidate: the largest
-    # count wins, ties go to the smaller parent id
-    best: dict[int, tuple[int, int]] = {}
+    # per child, the parent and count of its strongest kept candidate: the
+    # largest count wins, ties go to the smaller parent id; a stored count is
+    # at least 1, so any candidate beats no parent yet, (0, -(-1))
+    parent, count = [-1] * network.n_tags, [0] * network.n_tags
     for x, y, w_xy in candidates:
         if children[x] & parents[y]:
             continue
-        if y not in best or (w_xy, -x) > (best[y][0], -best[y][1]):
-            best[y] = (w_xy, x)
-    names = network.names
-    edges = [(names[x], names[y]) for y, (_, x) in best.items()]
-    return Hierarchy(names, edges)
+        if (w_xy, -x) > (count[y], -parent[y]):
+            parent[y], count[y] = x, w_xy
+    return Hierarchy.from_parents(network.names, parent)

@@ -35,10 +35,10 @@ def parse_count_distribution(text: str) -> tuple:
         lam = float(arg)
         if not lam > 0:
             raise ValueError("poisson mean must be > 0")
-        # a draw has a tag only if random() > exp(-mean), and random() never
-        # exceeds 1 - 2**-53, so below about 1.7e-16 the wait never ends
-        if math.exp(-lam) >= 1.0 - 2.0**-53:
-            raise ValueError("poisson mean is too small for any draw to give a tag")
+        # an object redraws until its count is at least 1, about 1/mean draws:
+        # a thousand at the floor, and below about 1.7e-16 they never end
+        if lam < 1e-3:
+            raise ValueError(f"poisson mean is too small: {lam!r} < 0.001")
         return ("poisson", lam)
     raise ValueError(f"unknown tags-per-object distribution {text!r}")
 

@@ -43,8 +43,7 @@ class TagCorpus:
     Tag names map to dense ids in first-appearance order. Object o carries
     the tag ids `tags[indptr[o]:indptr[o + 1]]`, ascending and distinct (both
     int64, read-only). `freq[i]` is the number of objects carrying tag i
-    (Q_i), `n_objects` is Q. `objects` is a tuple-per-object view built on
-    first use, for inspection.
+    (Q_i), `n_objects` is Q.
     """
 
     names: tuple[str, ...]
@@ -59,13 +58,6 @@ class TagCorpus:
     @property
     def n_objects(self) -> int:
         return len(self.indptr) - 1
-
-    @cached_property
-    def objects(self) -> tuple[tuple[int, ...], ...]:
-        """`objects[o]` is object o's ascending tuple of tag ids."""
-        ptr = self.indptr.tolist()
-        ids = self.tags.tolist()
-        return tuple(tuple(ids[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TagCorpus):
@@ -232,13 +224,6 @@ class CooccurrenceNetwork:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         k = lo + np.searchsorted(self.indices[lo:hi], j)
         return int(self.weights[k]) if k < hi and self.indices[k] == j else 0
-
-    def pairs(self) -> Iterator[tuple[int, int, int]]:
-        """Every pair once, as (i, j, Q_ij) with i < j, ordered by i then j."""
-        upper = self.indices > self.rows
-        return zip(
-            self.rows[upper].tolist(), self.indices[upper].tolist(), self.weights[upper].tolist()
-        )
 
     def masked(self, keep: np.ndarray) -> "CooccurrenceNetwork":
         """Same tags and marginals, only the stored counts where the symmetric

@@ -62,12 +62,12 @@ def select_parents(strong_in: list[dict[int, float]]) -> list[int | None]:
     return parent
 
 
-def _component_roots(parent: list[int | None]) -> list[int]:
+def _component_roots(parent: list[int]) -> list[int]:
     comp = [-1] * len(parent)
     for i in range(len(parent)):
         path = []
         t = i
-        while comp[t] < 0 and parent[t] is not None:
+        while comp[t] < 0 and parent[t] >= 0:
             path.append(t)
             t = parent[t]
         root = comp[t] if comp[t] >= 0 else t
@@ -82,13 +82,12 @@ def extract_a(network: CooccurrenceNetwork, params: AlgoAParams = AlgoAParams())
     n = network.n_tags
     if n == 0:
         raise ValueError("empty network")
-    names = network.names
     strong_in = surviving_in_links(network, params.omega)
-    parent = select_parents(strong_in)
+    # -1 for a local root; attaching a root writes its new parent here
+    parent = [-1 if p is None else p for p in select_parents(strong_in)]
     comp = _component_roots(parent)
-    roots = [i for i in range(n) if parent[i] is None]
+    roots = [i for i in range(n) if parent[i] < 0]
 
-    attach: dict[int, int] = {}
     if len(roots) > 1:
         entropy = {}
         in_weight = {}
@@ -130,16 +129,17 @@ def extract_a(network: CooccurrenceNetwork, params: AlgoAParams = AlgoAParams())
                     looped.append(r)
                     del suggested[r]
 
-        attach.update(suggested)
+        for r, p in suggested.items():
+            parent[r] = p
 
         def is_below(tag: int, root: int) -> bool:
             # does the ancestor chain of `tag` pass through `root`, in the
             # partially assembled forest as it stands right now
-            t: int | None = tag
-            while t is not None:
+            t = tag
+            while t >= 0:
                 if t == root:
                     return True
-                t = parent[t] if parent[t] is not None else attach.get(t)
+                t = parent[t]
             return False
 
         # cleared roots re-attach in descending entropy order to their
@@ -150,8 +150,6 @@ def extract_a(network: CooccurrenceNetwork, params: AlgoAParams = AlgoAParams())
                 if not is_below(j, r):
                     chosen = j
                     break
-            attach[r] = global_root if chosen is None else chosen
+            parent[r] = global_root if chosen is None else chosen
 
-    edges = [(names[p], names[c]) for c, p in enumerate(parent) if p is not None]
-    edges.extend((names[p], names[c]) for c, p in attach.items())
-    return Hierarchy(names, edges)
+    return Hierarchy.from_parents(network.names, parent)

@@ -93,7 +93,7 @@ def extract_b_from_pruned(pruned: CooccurrenceNetwork, params: AlgoBParams) -> H
         if ok:
             contribution[r][t] = z_rt
 
-    parent: list[int | None] = [None] * n
+    parent = [-1] * n
     descendants: list[set[int]] = [set() for _ in range(n)]
     for i in order:
         if not candidates[i]:
@@ -117,13 +117,11 @@ def extract_b_from_pruned(pruned: CooccurrenceNetwork, params: AlgoBParams) -> H
         descendants[best].add(i)
 
     if params.force_single_root:
-        roots = [i for i in range(n) if parent[i] is None]
+        roots = [i for i in range(n) if parent[i] < 0]
         if len(roots) > 1:
             top = max(roots, key=lambda r: rank[r])
             for r in roots:
                 if r != top:
                     parent[r] = top
 
-    names = pruned.names
-    edges = [(names[p], names[c]) for c, p in enumerate(parent) if p is not None]
-    return Hierarchy(names, edges)
+    return Hierarchy.from_parents(pruned.names, parent)

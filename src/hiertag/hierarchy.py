@@ -8,7 +8,7 @@ declares an isolated tag.
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .textio import TextFormatError
 
@@ -28,7 +28,9 @@ class Hierarchy:
     Tags are kept in sorted order, which fixes the canonical indexing used by
     seeded operations such as :func:`rewire`. Traversals run on positions in
     `tags`: each tag's children as ascending positions, its parent count, and
-    a topological order (Kahn's, ties by position), all built once here.
+    a topological order (Kahn's, ties by position), all built once by
+    `_link`. Both constructors feed it position pairs: `Hierarchy(tags,
+    edges)` from name pairs, `from_parents` from a forest's parent array.
     """
 
     __slots__ = ("tags", "edges", "roots", "_children", "_n_parents", "_order")
@@ -42,20 +44,40 @@ class Hierarchy:
             if parent == child:
                 raise ValueError(f"self-loop on tag {parent!r}")
             edge_set.add((parent, child))
-        self.tags: tuple[str, ...] = tuple(sorted(tag_set))
-        self.edges: frozenset[tuple[str, str]] = frozenset(edge_set)
-        position = dict(zip(self.tags, range(len(self.tags))))
-        children: list[list[int]] = [[] for _ in self.tags]
-        n_parents = [0] * len(self.tags)
-        for parent, child in edge_set:
-            c = position[child]
-            children[position[parent]].append(c)
+        tags = tuple(sorted(tag_set))
+        position = dict(zip(tags, range(len(tags))))
+        self._link(tags, [(position[p], position[c]) for p, c in edge_set])
+
+    @classmethod
+    def from_parents(cls, names: Sequence[str], parent: Sequence[int]) -> "Hierarchy":
+        """The forest in which tag `names[i]` hangs under `names[parent[i]]`,
+        or is a root where `parent[i]` is negative. Names must be distinct;
+        a parent array with a cycle raises `CycleError`."""
+        n = len(names)
+        if len(set(names)) != n or len(parent) != n or max(parent, default=-1) >= n:
+            raise ValueError("from_parents needs distinct names and one parent index < n per name")
+        order = sorted(range(n), key=names.__getitem__)
+        position = dict(zip(order, range(n)))
+        links = [(position[p], position[c]) for c, p in enumerate(parent) if p >= 0]
+        h = cls.__new__(cls)
+        h._link(tuple(names[i] for i in order), links)
+        return h
+
+    def _link(self, tags: tuple[str, ...], links: list[tuple[int, int]]) -> None:
+        """Build every field from sorted `tags` and distinct (parent, child)
+        position pairs; raise `CycleError` when the links hold a cycle."""
+        self.tags: tuple[str, ...] = tags
+        self.edges: frozenset[tuple[str, str]] = frozenset((tags[p], tags[c]) for p, c in links)
+        children: list[list[int]] = [[] for _ in tags]
+        n_parents = [0] * len(tags)
+        for p, c in links:
+            children[p].append(c)
             n_parents[c] += 1
         for cs in children:
             cs.sort()
         self._children = children
         self._n_parents = n_parents
-        self.roots: tuple[str, ...] = tuple(t for t, k in zip(self.tags, n_parents) if not k)
+        self.roots: tuple[str, ...] = tuple(t for t, k in zip(tags, n_parents) if not k)
         indeg = n_parents.copy()
         order = [i for i, k in enumerate(indeg) if not k]
         for v in order:  # grows while it is read, so it serves as the queue
@@ -63,8 +85,8 @@ class Hierarchy:
                 indeg[c] -= 1
                 if not indeg[c]:
                     order.append(c)
-        if len(order) != len(self.tags):
-            cyclic = [t for t, k in zip(self.tags, indeg) if k]
+        if len(order) != len(tags):
+            cyclic = [t for t, k in zip(tags, indeg) if k]
             raise CycleError(f"hierarchy contains a directed cycle through {cyclic[:5]}")
         self._order = order
 
@@ -180,13 +202,9 @@ def binary_tree(levels: int) -> Hierarchy:
     if levels < 1:
         raise ValueError("levels must be >= 1")
     n = 2**levels - 1
-    tags = [str(i) for i in range(1, n + 1)]
-    edges = []
-    for i in range(1, n + 1):
-        for c in (2 * i, 2 * i + 1):
-            if c <= n:
-                edges.append((str(i), str(c)))
-    return Hierarchy(tags, edges)
+    # tag i hangs under tag i // 2, at index i // 2 - 1; tag 1 gets -1, the root
+    ids = range(1, n + 1)
+    return Hierarchy.from_parents([str(i) for i in ids], [i // 2 - 1 for i in ids])
 
 
 REWIRING_ORDERS = ("leaf-first", "random", "top-first")
@@ -260,5 +278,4 @@ def rewire(h: Hierarchy, fraction: float, order: str, rng: random.Random) -> Hie
     """
     parent, links = _rewire_plan(h, fraction, order)
     parent = _rewire_parents(parent, links, fraction, rng, order == "random")
-    tags = h.tags
-    return Hierarchy(tags, [(tags[p], tags[c]) for c, p in enumerate(parent) if p >= 0])
+    return Hierarchy.from_parents(h.tags, parent)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -72,8 +74,10 @@ def in_link_entropy(weights: Iterable[float]) -> float:
         return 0.0
     if any(w <= 0 for w in ws):
         raise ValueError("in-link weights must be positive")
-    total = float(sum(ws))
-    return -sum((w / total) * math.log(w / total) for w in ws)
+    # summed left to right: the builtin sum of floats is compensated from
+    # Python 3.12 on and would round differently
+    total = float(reduce(add, ws))
+    return -reduce(add, ((w / total) * math.log(w / total) for w in ws))
 
 
 @dataclass(frozen=True)

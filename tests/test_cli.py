@@ -530,7 +530,7 @@ def test_generate_rejects_a_poisson_mean_too_small_to_draw_a_tag(tmp_path, monke
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: --tags-per-object 'poisson:1e-300': "
-        "poisson mean is too small for any draw to give a tag\n"
+        "poisson mean is too small: 1e-300 < 0.001\n"
     )
     assert sorted(os.listdir(tmp_path)) == ["tree.tsv"]
 

@@ -5,6 +5,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hiertag.corpus import (
@@ -43,7 +44,8 @@ def test_load_corpus_collapses_duplicate_tags(tmp_path):
     path = tmp_path / "objects.tsv"
     path.write_text("a\ta\tb\n")
     corpus = load_corpus(path)
-    assert corpus.objects[0] == tuple(sorted((corpus.names.index("a"), corpus.names.index("b"))))
+    assert corpus.indptr.tolist() == [0, 2]
+    assert corpus.tags.tolist() == sorted((corpus.names.index("a"), corpus.names.index("b")))
     assert corpus.freq[corpus.names.index("a")] == 1
 
 
@@ -118,8 +120,8 @@ def test_pair_total_identity_on_random_corpus():
     rng = random.Random(7)
     corpus = corpus_from_object_lists(_random_objects(rng, 25, 400))
     network = build_cooccurrence(corpus)
-    from_objects = sum(len(obj) * (len(obj) - 1) // 2 for obj in corpus.objects)
-    from_pairs = sum(w for _, _, w in network.pairs())
+    from_objects = sum(k * (k - 1) // 2 for k in np.diff(corpus.indptr).tolist())
+    from_pairs = int(network.weights[network.indices > network.rows].sum())
     assert from_objects == from_pairs
 
 
@@ -130,22 +132,28 @@ def test_object_order_does_not_change_the_network():
     rng.shuffle(shuffled)
     a = build_cooccurrence(corpus_from_object_lists(objects))
     b = build_cooccurrence(corpus_from_object_lists(shuffled))
-    # same tag universe in both orders, so compare by name
-    pairs_a = {(a.names[i], a.names[j]): w for i, j, w in a.pairs()}
-    pairs_b = {(b.names[i], b.names[j]): w for i, j, w in b.pairs()}
-    remap = {}
-    for (x, y), w in pairs_b.items():
-        key = (x, y) if (x, y) in pairs_a else (y, x)
-        remap[key] = w
-    assert pairs_a == remap
+    # same tag universe in both orders, so compare every stored count by name
+    pairs_a, pairs_b = (
+        {
+            (n.names[i], n.names[j]): w
+            for i, j, w in zip(n.rows.tolist(), n.indices.tolist(), n.weights.tolist())
+        }
+        for n in (a, b)
+    )
+    assert pairs_a == pairs_b
 
 
 def test_shard_counts_merge_to_single_pass():
     rng = random.Random(3)
     corpus = corpus_from_object_lists(_random_objects(rng, 20, 300))
-    whole = {(i, j): w for i, j, w in build_cooccurrence(corpus).pairs()}
-    merged = brute_force_pair_counts(corpus.objects[:100])
-    merged.update(brute_force_pair_counts(corpus.objects[100:]))
+    network = build_cooccurrence(corpus)
+    rows, cols, ws = network.rows.tolist(), network.indices.tolist(), network.weights.tolist()
+    whole = {(i, j): w for i, j, w in zip(rows, cols, ws) if i < j}
+    ptr, ids = corpus.indptr.tolist(), corpus.tags.tolist()
+    merged = brute_force_pair_counts(ids[ptr[o] : ptr[o + 1]] for o in range(100))
+    merged.update(
+        brute_force_pair_counts(ids[ptr[o] : ptr[o + 1]] for o in range(100, corpus.n_objects))
+    )
     assert whole == merged
 
 
@@ -166,8 +174,8 @@ def test_cooccurrence_bounded_by_marginals():
     rng = random.Random(13)
     corpus = corpus_from_object_lists(_random_objects(rng, 12, 250))
     network = build_cooccurrence(corpus)
-    for i, j, w in network.pairs():
-        assert w <= min(network.freq[i], network.freq[j])
+    freq = np.asarray(network.freq)
+    assert (network.weights <= np.minimum(freq[network.rows], freq[network.indices])).all()
 
 
 def test_empty_object_rejected():

@@ -4,8 +4,8 @@
 one sorted tuple of tag ids per object: it streams lines, interns every tag
 through a dict and collapses each object with a set. The array loader reads
 blocks of text, interns whole blocks and sorts all objects at once, so the
-properties check that both give the same names, frequencies and objects, or
-fail with the same message on the same line. The block sizes are drawn too,
+properties check that both give the same names, frequencies and incidence
+arrays, or fail with the same message on the same line. The block sizes are drawn too,
 so lines, CRLF pairs and objects fall across block boundaries.
 """
 from __future__ import annotations
@@ -36,10 +36,12 @@ def reference_from_object_lists(object_tags):
     if not all(objects):
         raise CorpusFormatError("object with no tags")
     freq = [0] * len(index)
+    indptr = [0]
     for obj in objects:
+        indptr.append(indptr[-1] + len(obj))
         for i in obj:
             freq[i] += 1
-    return tuple(index), tuple(objects), tuple(freq)
+    return tuple(index), indptr, [i for obj in objects for i in obj], tuple(freq)
 
 
 def reference_load(path, with_ids=False):
@@ -72,13 +74,13 @@ def reference_first_malformed_line(path, with_ids):
 
 
 def _outcome(fn, *args):
-    """(names, objects, freq) of a corpus, or the error's message and line."""
+    """(names, indptr, tags, freq) of a corpus, or the error's message and line."""
     try:
         corpus = fn(*args)
     except CorpusFormatError as exc:
         return ("error", str(exc), exc.line_number)
     if isinstance(corpus, TagCorpus):
-        return corpus.names, corpus.objects, corpus.freq
+        return corpus.names, corpus.indptr.tolist(), corpus.tags.tolist(), corpus.freq
     return corpus
 
 
@@ -143,7 +145,8 @@ def test_crlf_split_across_blocks_is_one_line_break(tmp_path):
         with mock.patch.object(corpus_module, "BLOCK_CHARS", block):
             corpus = load_corpus(str(path))
         assert corpus.names == ("a", "b", "c")
-        assert corpus.objects == ((0, 1), (1, 2), (2,))
+        assert corpus.indptr.tolist() == [0, 2, 4, 5]
+        assert corpus.tags.tolist() == [0, 1, 1, 2, 2]
 
 
 def test_corpus_arrays_are_read_only_csr():

@@ -63,6 +63,15 @@ def test_unknown_tag_in_edge_rejected():
         Hierarchy(("a", "b"), (("a", "zzz"),))
 
 
+@pytest.mark.parametrize(
+    "names, parent",
+    [(["a", "b", "a"], [-1, 0, 0]), (["a", "b", "c"], [-1, 0]), (["a", "b"], [-1, 2])],
+)
+def test_from_parents_rejects_repeated_names_and_bad_parent_arrays(names, parent):
+    with pytest.raises(ValueError, match="distinct names and one parent index < n per name"):
+        Hierarchy.from_parents(names, parent)
+
+
 def test_self_loop_rejected():
     with pytest.raises(ValueError, match="self-loop"):
         Hierarchy(("a",), (("a", "a"),))

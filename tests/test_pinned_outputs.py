@@ -4,7 +4,10 @@ The extractor digests are sha256 of `hierarchy_to_text` of each extractor's
 output on two fixed-seed benchmark corpora, recorded before the
 co-occurrence network moved to a CSR matrix with vectorized kernels.
 Tie-breaks in the extractors depend on exact z-score and similarity values,
-so any change in rounding or ordering shows up here.
+so any change in rounding or ordering shows up here. The `schmitz_t0.2`
+digests were recorded before the extractors handed parent arrays to
+`Hierarchy.from_parents`; at the default threshold Schmitz gives no edges on
+the linear-depth corpus, so they are the pins of its edge path.
 
 The calibration digests pin `rewire` and `decay_curve` bytes, recorded
 before `rewire` moved from a per-link subtree search to a parent array. A
@@ -41,6 +44,7 @@ from hiertag import (
     BenchmarkConfig,
     HeymannParams,
     Hierarchy,
+    SchmitzParams,
     binary_tree,
     build_cooccurrence,
     decay_curve,
@@ -65,6 +69,7 @@ EXTRACTORS = {
     "heymann": extract_heymann,
     "heymann_closeness": lambda n: extract_heymann(n, HeymannParams(centrality_kind="closeness")),
     "schmitz": extract_schmitz,
+    "schmitz_t0.2": lambda n: extract_schmitz(n, SchmitzParams(t_subsume=0.2)),
 }
 
 CORPORA = {
@@ -77,6 +82,7 @@ CORPORA = {
             "heymann": "a877d3c9d10cd831d5c22dafeeea6cef3e24bdfe0522aaf9e255738f9e9f77d2",
             "heymann_closeness": "9fab68d3a0bafde9e86a311b2007060090698077f84ed5ce274642828613b010",
             "schmitz": "73273be471fdbfdb2e168300ab24365494ba1e971eba4ad296d3d8407237d1df",
+            "schmitz_t0.2": "65dfbe0fe44e9bf67aea8d1e29d8932da27bb0b48ca25fa7d112ca7abde3d4e5",
         },
     ),
     "power-law": (
@@ -93,6 +99,7 @@ CORPORA = {
             "heymann": "820f051f8b6870b26805c99673f820730b273946f4ea648cb2af050d0e1633cd",
             "heymann_closeness": "7356921f5d612de30136a49fe8933eb6faedef1f3e6c0762bbfd3ff924cfa2b3",
             "schmitz": "3a9db6d50ecb3eca489d2fa1fc7a04d07713d25a83a9017f5fcf379e68f213b4",
+            "schmitz_t0.2": "edd72b481da9881e061e13cfcfc5be0894bbf3ed6a841bbfed4a14b0d85e985b",
         },
     ),
 }
