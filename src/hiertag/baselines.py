@@ -52,21 +52,21 @@ def cosine_similarities(network: CooccurrenceNetwork) -> np.ndarray:
 CLOSENESS_BLOCK_ENTRIES = 1 << 26
 
 
-def _closeness(graph: sparse.csr_matrix) -> np.ndarray:
+def _closeness(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Unweighted closeness of every tag: the number of tags it reaches over
     the sum of their hop distances, 0 for a tag that reaches none.
 
     Bit-parallel breadth-first search from a block of sources at a time: per
     tag, a Python int has bit s set once source s has reached it. Each hop
     ORs the frontier bits of a tag's neighbours, and the bits the tag had not
-    seen reach it at this hop. The graph must be symmetric, so that
-    dist(s, v) = dist(v, s) and the hops that reach v from every source sum
-    to v's own total. A block's visited and frontier bitsets hold at most
-    CLOSENESS_BLOCK_ENTRIES bits each.
+    seen reach it at this hop. The graph, as CSR row pointers and column
+    indices, must be symmetric, so that dist(s, v) = dist(v, s) and the hops
+    that reach v from every source sum to v's own total. A block's visited
+    and frontier bitsets hold at most CLOSENESS_BLOCK_ENTRIES bits each.
     """
-    n = graph.shape[0]
+    n = len(indptr) - 1
     block = max(1, CLOSENESS_BLOCK_ENTRIES // n)
-    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    indptr, indices = indptr.tolist(), indices.tolist()
     adj = [indices[indptr[v] : indptr[v + 1]] for v in range(n)]
     total, reached = [0] * n, [0] * n
     for lo in range(0, n, block):
@@ -121,9 +121,7 @@ def extract_heymann(
         centrality = np.bincount(rows[similar], minlength=n)
     else:
         kept = network.masked(similar)
-        centrality = _closeness(
-            sparse.csr_matrix((kept.weights, kept.indices, kept.indptr), shape=(n, n))
-        )
+        centrality = _closeness(kept.indptr, kept.indices)
     # descending (centrality, frequency, -id)
     order = np.lexsort((-np.arange(n), network.freq, centrality))[::-1]
     position = np.empty(n, dtype=np.int64)
@@ -178,7 +176,8 @@ def extract_schmitz(
     qualifying links stay isolated, so the output is generally a sparse
     forest.
     """
-    if network.n_tags == 0:
+    n = network.n_tags
+    if n == 0:
         raise ValueError("empty network")
     freq = np.asarray(network.freq, dtype=np.int64)
     rows, cols, w = network.rows, network.indices, network.weights
@@ -188,23 +187,16 @@ def extract_schmitz(
     subsumes = (
         (w >= params.min_cooccurrence) & (w / freq[cols] >= t_sub) & (w / freq[rows] < t_sub)
     )
-    candidates = list(
-        zip(rows[subsumes].tolist(), cols[subsumes].tolist(), w[subsumes].tolist())
-    )
+    cand = sparse.csr_matrix((w[subsumes], (rows[subsumes], cols[subsumes])), shape=(n, n))
+    linked = cand > 0
+    # a candidate x -> y is transitive when candidates x -> z and z -> y exist
+    direct = cand.multiply(linked > linked @ linked).tocoo()
 
-    children: dict[int, set[int]] = {}
-    parents: dict[int, set[int]] = {}
-    for x, y, _ in candidates:
-        children.setdefault(x, set()).add(y)
-        parents.setdefault(y, set()).add(x)
-
-    # per child, the parent and count of its strongest kept candidate: the
+    # per child, the parent and count of its strongest direct candidate: the
     # largest count wins, ties go to the smaller parent id; a stored count is
     # at least 1, so any candidate beats no parent yet, (0, -(-1))
-    parent, count = [-1] * network.n_tags, [0] * network.n_tags
-    for x, y, w_xy in candidates:
-        if children[x] & parents[y]:
-            continue
+    parent, count = [-1] * n, [0] * n
+    for x, y, w_xy in zip(direct.row.tolist(), direct.col.tolist(), direct.data.tolist()):
         if (w_xy, -x) > (count[y], -parent[y]):
             parent[y], count[y] = x, w_xy
     return Hierarchy.from_parents(network.names, parent)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -39,6 +40,10 @@ def parse_count_distribution(text: str) -> tuple:
         # a thousand at the floor, and below about 1.7e-16 they never end
         if lam < 1e-3:
             raise ValueError(f"poisson mean is too small: {lam!r} < 0.001")
+        # Knuth's draw stops once a product of uniforms falls to exp(-mean);
+        # where that underflows, every mean would draw about 745 tags
+        if math.exp(-lam) < sys.float_info.min:
+            raise ValueError(f"poisson mean is too large: {lam!r} > 708.39")
         return ("poisson", lam)
     raise ValueError(f"unknown tags-per-object distribution {text!r}")
 

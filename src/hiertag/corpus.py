@@ -171,13 +171,6 @@ def _first_malformed_line(path: str, with_ids: bool) -> CorpusFormatError:
     return CorpusFormatError("zero objects", path=path)
 
 
-def _kept_indptr(indptr: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Row pointers of a CSR matrix after dropping the entries not in `keep`."""
-    before = np.zeros(len(keep) + 1, dtype=np.int64)
-    np.cumsum(keep, out=before[1:])
-    return before[indptr]
-
-
 @dataclass(frozen=True, eq=False)
 class CooccurrenceNetwork:
     """Undirected co-occurrence counts Q_ij plus the corpus marginals Q, Q_i.
@@ -228,11 +221,14 @@ class CooccurrenceNetwork:
     def masked(self, keep: np.ndarray) -> "CooccurrenceNetwork":
         """Same tags and marginals, only the stored counts where the symmetric
         mask `keep` is set (e.g. after pruning)."""
+        # a row's new pointer is the number of kept entries before its old one
+        before = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(keep, out=before[1:])
         return CooccurrenceNetwork(
             self.names,
             self.q_total,
             self.freq,
-            _kept_indptr(self.indptr, keep),
+            before[self.indptr],
             self.indices[keep],
             self.weights[keep],
         )
@@ -247,15 +243,12 @@ def build_cooccurrence(corpus: TagCorpus) -> CooccurrenceNetwork:
     )
     counts = (x.T @ x).tocsr()
     counts.sort_indices()
-    indptr = counts.indptr.astype(np.int64)
-    indices = counts.indices.astype(np.int64)
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    off_diagonal = indices != rows
-    return CooccurrenceNetwork(
+    full = CooccurrenceNetwork(
         corpus.names,
         corpus.n_objects,
         corpus.freq,
-        _kept_indptr(indptr, off_diagonal),
-        indices[off_diagonal],
-        counts.data[off_diagonal].astype(np.int64),
+        counts.indptr.astype(np.int64),
+        counts.indices.astype(np.int64),
+        counts.data,
     )
+    return full.masked(full.indices != full.rows)

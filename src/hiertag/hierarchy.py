@@ -31,9 +31,11 @@ class Hierarchy:
     a topological order (Kahn's, ties by position), all built once by
     `_link`. Both constructors feed it position pairs: `Hierarchy(tags,
     edges)` from name pairs, `from_parents` from a forest's parent array.
+    Equality compares tags and child positions; `edges`, the name pairs, is
+    built on each access.
     """
 
-    __slots__ = ("tags", "edges", "roots", "_children", "_n_parents", "_order")
+    __slots__ = ("tags", "n_edges", "roots", "_children", "_n_parents", "_order")
 
     def __init__(self, tags: Iterable[str], edges: Iterable[tuple[str, str]]):
         tag_set = set(tags)
@@ -67,7 +69,7 @@ class Hierarchy:
         """Build every field from sorted `tags` and distinct (parent, child)
         position pairs; raise `CycleError` when the links hold a cycle."""
         self.tags: tuple[str, ...] = tags
-        self.edges: frozenset[tuple[str, str]] = frozenset((tags[p], tags[c]) for p, c in links)
+        self.n_edges = len(links)
         children: list[list[int]] = [[] for _ in tags]
         n_parents = [0] * len(tags)
         for p, c in links:
@@ -95,8 +97,10 @@ class Hierarchy:
         return len(self.tags)
 
     @property
-    def n_edges(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """The (parent, child) name pairs."""
+        tags = self.tags
+        return frozenset((tags[p], tags[c]) for p, cs in enumerate(self._children) for c in cs)
 
     def is_forest(self) -> bool:
         return max(self._n_parents, default=0) <= 1
@@ -127,10 +131,10 @@ class Hierarchy:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hierarchy):
             return NotImplemented
-        return self.tags == other.tags and self.edges == other.edges
+        return self.tags == other.tags and self._children == other._children
 
     def __hash__(self) -> int:
-        return hash((self.tags, self.edges))
+        return hash((self.tags, tuple(map(tuple, self._children))))
 
     def __repr__(self) -> str:
         return f"Hierarchy(n_tags={self.n_tags}, n_edges={self.n_edges}, roots={len(self.roots)})"

@@ -86,8 +86,11 @@ def link_ratios(exact: Hierarchy, recon: Hierarchy) -> LinkRatios:
             else:
                 n_unrelated += 1
     n_missing = (n - 1 - m_r) if m_r < n - 1 else 0
+    n_exact = sum(
+        len(set(e).intersection(r)) for e, r in zip(exact._children, recon._children) if e and r
+    )
     return LinkRatios(
-        len(exact.edges & recon.edges) / norm,
+        n_exact / norm,
         n_acceptable / norm,
         n_inverted / norm,
         n_unrelated / norm,
@@ -141,9 +144,9 @@ def nmi(exact: Hierarchy, recon: Hierarchy) -> float:
     n = exact.n_tags
     if n < 2:
         raise ValueError("NMI needs at least 2 tags")
-    if not exact.edges and not recon.edges:
+    if not exact.n_edges and not recon.n_edges:
         raise ValueError("undefined NMI: both hierarchies are edgeless")
-    if exact.edges == recon.edges:
+    if exact == recon:
         return 1.0
     bits = [1 << i for i in range(n)]
     below_e = _below(exact._children, exact._order, bits)
@@ -164,9 +167,9 @@ def partition_nmi(exact: Hierarchy, recon: Hierarchy) -> float:
     n = exact.n_tags
     if n < 2:
         raise ValueError("NMI needs at least 2 tags")
-    if not exact.edges and not recon.edges:
+    if not exact.n_edges and not recon.n_edges:
         raise ValueError("undefined NMI: both hierarchies are edgeless")
-    if exact.edges == recon.edges:
+    if exact == recon:
         return 1.0
     communities_e = {t: frozenset(s) for t, s in descendant_table(exact).items()}
     communities_r = {t: frozenset(s) for t, s in descendant_table(recon).items()}

@@ -109,6 +109,20 @@ def test_smallest_drawable_poisson_mean_is_accepted():
     assert parse_count_distribution("poisson:1e-3") == ("poisson", 1e-3)
 
 
+@pytest.mark.parametrize("mean", [709.0, 800.0, 1e6, math.inf])
+def test_poisson_mean_whose_stopping_limit_underflows_is_rejected(mean):
+    # Knuth's draw stops at exp(-mean), which is subnormal or 0 above about
+    # 708.4: the draws then all stop near 745 tags whatever the mean
+    with pytest.raises(ValueError, match="poisson mean is too large"):
+        parse_count_distribution(f"poisson:{mean!r}")
+    with pytest.raises(ValueError, match="poisson mean is too large"):
+        BenchmarkConfig(object_count=5, p_random_walk=0.5, tags_per_object=("poisson", mean))
+
+
+def test_largest_drawable_poisson_mean_is_accepted():
+    assert parse_count_distribution("poisson:708") == ("poisson", 708.0)
+
+
 def test_config_keeps_parsed_descriptors():
     config = BenchmarkConfig(
         object_count=5,

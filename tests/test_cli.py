@@ -482,6 +482,44 @@ def test_evaluate_without_lmi_accepts_a_forest(tmp_path):
     assert "nmi\t1" in report.read_text()
 
 
+# tag d has two parents, b and c
+SIX_TAG_DAG = "a\tb\na\tc\nb\td\nc\td\nd\te\nc\tf\n"
+
+
+@pytest.fixture(scope="module")
+def dag_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("dag")
+    dag, corpus = root / "dag.tsv", root / "corpus.tsv"
+    dag.write_text(SIX_TAG_DAG, encoding="utf-8")
+    argv = ["generate", "--hierarchy", str(dag), "--objects", "3000", "--seed", "2"]
+    assert main(argv + ["--out", str(corpus)]) == 0
+    return str(dag), str(corpus)
+
+
+# (r_E, r_A, r_I, r_U, r_M, nmi, M_r) of each extractor against the DAG
+@pytest.mark.parametrize(
+    "algorithm, rows",
+    [
+        ("a", ("0.8", "0.8", "0", "0.2", "0", "0.6096077086", "5")),
+        ("b", ("0.8", "0.8", "0", "0", "0.2", "0.4360058538", "4")),
+        ("heymann", ("1", "1", "0", "0", "0", "0.7885225053", "5")),
+        ("schmitz", ("0", "0", "0", "0", "1", "0", "0")),
+        (None, ("1", "1", "0", "0", "0", "1", "6")),  # the DAG against itself
+    ],
+)
+def test_evaluate_scores_reconstructions_against_a_dag(dag_corpus, tmp_path, algorithm, rows):
+    dag, corpus = dag_corpus
+    recon = dag
+    if algorithm:
+        recon = str(tmp_path / "recon.tsv")
+        assert main(["extract", corpus, "--algorithm", algorithm, "--out", recon]) == 0
+    report = tmp_path / "report.tsv"
+    assert main(["evaluate", dag, recon, "--out", str(report)]) == 0
+    names = ("r_E", "r_A", "r_I", "r_U", "r_M", "nmi", "N", "M_r")
+    values = rows[:6] + ("6",) + rows[6:]
+    assert report.read_text() == "".join(f"{k}\t{v}\n" for k, v in zip(names, values))
+
+
 @pytest.mark.parametrize("profile", ["linear-depth", "power-law:2"])
 def test_generate_from_an_empty_hierarchy_names_the_file(tmp_path, capsys, profile):
     empty = tmp_path / "empty.tsv"
@@ -506,6 +544,7 @@ def test_generate_from_an_empty_hierarchy_names_the_file(tmp_path, capsys, profi
         ("--profile", "flat", "unknown frequency profile 'flat'"),
         ("--tags-per-object", "poisson:nan", "poisson mean must be > 0"),
         ("--profile", "power-law:nan", "power-law exponent must be > 0"),
+        ("--tags-per-object", "poisson:inf", "poisson mean is too large: inf > 708.39"),
     ],
 )
 def test_generate_descriptor_errors_name_the_option(tmp_path, capsys, option, value, message):

@@ -12,8 +12,9 @@ reference that must make the same random draws, and a decay curve with one
 built cell by cell from `rewire` and the descendant-set NMI. Hierarchy files
 round-trip, every traversal of a random DAG equals a brute-force reference
 built from its edges, a forest built from its parent array equals the same
-forest built from its edges, and every extractor commutes with renaming the
-tags.
+forest built from its edges, Schmitz's extractor equals a per-pair
+reference with its transitive filter on dicts of sets, and every extractor
+commutes with renaming the tags.
 """
 from __future__ import annotations
 
@@ -28,10 +29,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from hiertag import baselines
-from hiertag.baselines import SYNTHETIC_ROOT, HeymannParams, extract_heymann, extract_schmitz
+from hiertag.baselines import (
+    SYNTHETIC_ROOT,
+    HeymannParams,
+    SchmitzParams,
+    extract_heymann,
+    extract_schmitz,
+)
 from hiertag.corpus import build_cooccurrence, corpus_from_object_lists
 from hiertag.extract_a import extract_a
 from hiertag.extract_b import centrality_rank, extract_b, prune_network
@@ -226,12 +232,11 @@ def test_blocked_closeness_equals_bfs_from_every_tag(graph, block):
         if i != j:
             adj[i].add(j)
             adj[j].add(i)
-    rows = [i for i in range(n) for _ in adj[i]]
-    cols = [j for i in range(n) for j in adj[i]]
-    matrix = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    indptr = np.cumsum([0] + [len(a) for a in adj])
+    indices = np.array([j for a in adj for j in sorted(a)], dtype=np.int64)
     # a few sources per block, so most graphs span several blocks
     with patch.object(baselines, "CLOSENESS_BLOCK_ENTRIES", block * n):
-        got = baselines._closeness(matrix)
+        got = baselines._closeness(indptr, indices)
     assert got.tolist() == _bfs_closeness(adj)
 
 
@@ -462,7 +467,11 @@ def test_hierarchy_text_round_trips(h):
         path = os.path.join(tmp, "h.tsv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(hierarchy_to_text(h))
-        assert load_hierarchy(path) == h
+        loaded = load_hierarchy(path)
+    assert loaded == h
+    assert hash(loaded) == hash(h)
+    assert h.n_edges == len(h.edges)
+    assert Hierarchy(h.tags, h.edges) == h
 
 
 def _reach(tags, edges):
@@ -549,6 +558,9 @@ def test_from_parents_equals_the_name_constructor(forest):
     got = Hierarchy.from_parents(names, parent)
     expected = Hierarchy(names, [(names[p], names[c]) for c, p in enumerate(parent) if p >= 0])
     assert got == expected
+    assert hash(got) == hash(expected)
+    assert got.n_edges == len(got.edges) == len(expected.edges)
+    assert Hierarchy(got.tags, got.edges) == got
     assert hierarchy_to_text(got) == hierarchy_to_text(expected)
     assert got.roots == expected.roots
     assert got._order == expected._order
@@ -572,6 +584,42 @@ def test_from_parents_rejects_a_cyclic_parent_array(forest, data):
     parent[c] = data.draw(st.sampled_from([d for d in range(len(names)) if in_subtree(d)]))
     with pytest.raises(CycleError, match="directed cycle"):
         Hierarchy.from_parents(names, parent)
+
+
+def _schmitz_reference(network, params):
+    """Schmitz by its definition: per-pair candidate tests, a dict of
+    candidate children and of candidate parents per tag, and a candidate
+    x -> y dropped when some candidate child of x is a candidate parent of y."""
+    freq = network.freq
+    rows, cols, ws = network.rows.tolist(), network.indices.tolist(), network.weights.tolist()
+    t = params.t_subsume
+    candidates = [
+        (x, y, w)
+        for x, y, w in zip(rows, cols, ws)
+        if w >= params.min_cooccurrence and w / freq[y] >= t and w / freq[x] < t
+    ]
+    children, parents = {}, {}
+    for x, y, _ in candidates:
+        children.setdefault(x, set()).add(y)
+        parents.setdefault(y, set()).add(x)
+    parent, count = [-1] * network.n_tags, [0] * network.n_tags
+    for x, y, w in candidates:
+        if children[x] & parents[y]:
+            continue
+        if (w, -x) > (count[y], -parent[y]):
+            parent[y], count[y] = x, w
+    names = network.names
+    return Hierarchy(names, [(names[p], names[c]) for c, p in enumerate(parent) if p >= 0])
+
+
+@relaxed
+@given(corpora, st.sampled_from([0.2, 0.5, 0.8]), st.sampled_from([0, 3]))
+# t -> a -> b, and t -> b is a transitive candidate that would win b's tie
+@example([["t", "a", "b"], ["t", "a"], ["t", "a"]] + [["t"]] * 5, 0.5, 0)
+def test_schmitz_equals_the_per_pair_reference(objects, t_subsume, min_cooccurrence):
+    network = _network(objects)
+    params = SchmitzParams(t_subsume, min_cooccurrence)
+    assert extract_schmitz(network, params) == _schmitz_reference(network, params)
 
 
 EXTRACTORS = {
