@@ -17,7 +17,7 @@ import os
 import random
 import sys
 import time
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import __version__
 from .baselines import (
@@ -51,24 +51,32 @@ from .metrics import decay_curve, evaluate_hierarchies
 from .textio import TextFormatError
 
 
-def _write_output(path: str, chunks: Iterable[str], stream: TextIO) -> None:
-    """Write `chunks` to `path` whole or not at all; "-" writes to `stream`.
+def _write_files(targets: Iterable[tuple[str, Iterable[str], TextIO]]) -> None:
+    """Write each `(path, chunks, stream)` whole, and either every file or none.
 
-    The chunks go to a temporary file beside `path` that replaces it only
-    once every chunk is written, so a failure part-way leaves any older file
-    at `path` untouched and no partial one.
+    "-" writes to `stream`. Each named file's chunks go to a temporary file
+    beside it, and the temporary files replace their paths only once every
+    one is written, so a failure leaves no partial file and any older file
+    at a path untouched. Write errors name the path, not its temporary file.
     """
-    if path == "-":
-        stream.writelines(chunks)
-        return
-    tmp = f"{path}.{os.getpid()}.tmp"
+    pending: list[tuple[str, str]] = []
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for path, chunks, stream in targets:
+            if path == "-":
+                stream.writelines(chunks)
+                continue
+            tmp = f"{path}.{os.getpid()}.tmp"
+            pending.append((tmp, path))
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        for tmp, path in pending:
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp, _ in pending:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        if isinstance(exc, OSError) and path != "-":
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -116,7 +124,11 @@ def _option_rows(args: argparse.Namespace, *names: str) -> list[tuple[str, objec
     return [(name, getattr(args, name)) for name in names]
 
 
-def _cmd_generate(args: argparse.Namespace) -> list[tuple[str, object]]:
+# a handler's output chunks and its manifest rows; `main` writes both
+_Run = tuple[Iterable[str], list[tuple[str, object]]]
+
+
+def _cmd_generate(args: argparse.Namespace) -> _Run:
     h = load_hierarchy(args.hierarchy)
     config = BenchmarkConfig(
         object_count=args.objects,
@@ -132,47 +144,37 @@ def _cmd_generate(args: argparse.Namespace) -> list[tuple[str, object]]:
         objects = iter_object_tags(h, config)
     except ValueError as exc:
         raise ValueError(f"{args.hierarchy}: {exc}") from None
-    _write_output(args.out, ("\t".join(tags) + "\n" for tags in objects), sys.stdout)
-    return _option_rows(
+    rows = _option_rows(
         args, "hierarchy", "objects", "tags_per_object", "p_rw", "walk", "profile", "seed"
     )
+    return ("\t".join(tags) + "\n" for tags in objects), rows
 
 
-def _cmd_extract(args: argparse.Namespace) -> list[tuple[str, object]]:
+# algorithm -> (params class, its options in the class's field order, extractor)
+_EXTRACTORS = {
+    "a": (AlgoAParams, ("omega",), extract_a),
+    "b": (AlgoBParams, ("z_threshold", "force_single_root"), extract_b_from_pruned),
+    "heymann": (HeymannParams, ("similarity_threshold", "centrality"), extract_heymann),
+    "schmitz": (SchmitzParams, ("t_subsume", "min_cooccurrence"), extract_schmitz),
+}
+
+
+def _cmd_extract(args: argparse.Namespace) -> _Run:
+    params_class, options, extractor = _EXTRACTORS[args.algorithm]
     # params are checked before the corpus is read, so a bad option fails fast
-    if args.algorithm == "a":
-        params = AlgoAParams(omega=args.omega)
-        options = ("omega",)
-    elif args.algorithm == "b":
-        params = AlgoBParams(
-            z_threshold=args.z_threshold, force_single_root=args.force_single_root
-        )
-        options = ("z_threshold", "force_single_root")
-    elif args.algorithm == "heymann":
-        params = HeymannParams(
-            similarity_threshold=args.similarity_threshold, centrality_kind=args.centrality
-        )
-        options = ("similarity_threshold", "centrality")
-    else:
-        params = SchmitzParams(t_subsume=args.t_subsume, min_cooccurrence=args.min_cooccurrence)
-        options = ("t_subsume", "min_cooccurrence")
+    params = params_class(*(getattr(args, name) for name in options))
     corpus = load_corpus(args.input, with_ids=args.with_ids)
     network = build_cooccurrence(corpus)
     rows = _option_rows(args, "input", "with_ids", "algorithm")
     rows += [("objects", corpus.n_objects), ("tags", corpus.n_tags), ("pairs", network.n_pairs)]
     rows += _option_rows(args, *options)
     if args.algorithm == "b":
-        pruned = prune_network(network, params.z_threshold)
-        h = extract_b_from_pruned(pruned, params)
-        rows.append(("pairs_kept", pruned.n_pairs))
-    else:
-        extractors = {"a": extract_a, "heymann": extract_heymann, "schmitz": extract_schmitz}
-        h = extractors[args.algorithm](network, params)
-    _write_output(args.out, [hierarchy_to_text(h)], sys.stdout)
-    return rows
+        network = prune_network(network, params.z_threshold)
+        rows.append(("pairs_kept", network.n_pairs))
+    return [hierarchy_to_text(extractor(network, params))], rows
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> list[tuple[str, object]]:
+def _cmd_evaluate(args: argparse.Namespace) -> _Run:
     # the curve options serve only --lmi, and are checked before any file is read
     grid = None
     if args.lmi:
@@ -194,12 +196,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> list[tuple[str, object]]:
         )
     except ValueError as exc:
         raise ValueError(f"{args.exact}, {args.recon}: {exc}") from None
-    _write_output(args.out, [report.to_text()], sys.stdout)
     curve = ("curve_order", "curve_runs", "curve_grid_step") if args.lmi else ()
-    return _option_rows(args, "exact", "recon", "lmi", *curve, "seed")
+    return [report.to_text()], _option_rows(args, "exact", "recon", "lmi", *curve, "seed")
 
 
-def _cmd_curve(args: argparse.Namespace) -> list[tuple[str, object]]:
+def _cmd_curve(args: argparse.Namespace) -> _Run:
     _check_runs("--runs", args.runs)
     grid = _grid_from_step("--grid-step", args.grid_step)
     h = _load_tree(args.input, "curve")
@@ -207,20 +208,17 @@ def _cmd_curve(args: argparse.Namespace) -> list[tuple[str, object]]:
         curve = decay_curve(h, order=args.order, runs=args.runs, grid=grid, seed=args.seed)
     except ValueError as exc:
         raise ValueError(f"{args.input}: {exc}") from None
-    _write_output(args.out, [curve.to_text()], sys.stdout)
-    return _option_rows(args, "input", "order", "runs", "grid_step", "seed")
+    return [curve.to_text()], _option_rows(args, "input", "order", "runs", "grid_step", "seed")
 
 
-def _cmd_randomize(args: argparse.Namespace) -> list[tuple[str, object]]:
+def _cmd_randomize(args: argparse.Namespace) -> _Run:
     h = _load_tree(args.input, "randomize")
     rewired = rewire(h, args.fraction, args.order, random.Random(args.seed))
-    _write_output(args.out, [hierarchy_to_text(rewired)], sys.stdout)
-    return _option_rows(args, "input", "fraction", "order", "seed")
+    return [hierarchy_to_text(rewired)], _option_rows(args, "input", "fraction", "order", "seed")
 
 
-def _cmd_tree(args: argparse.Namespace) -> list[tuple[str, object]]:
-    _write_output(args.out, [hierarchy_to_text(binary_tree(args.levels))], sys.stdout)
-    return _option_rows(args, "levels")
+def _cmd_tree(args: argparse.Namespace) -> _Run:
+    return [hierarchy_to_text(binary_tree(args.levels))], _option_rows(args, "levels")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,9 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract a hierarchy from an objects file")
     p.add_argument("input", help="objects file (one object per line, TAB-separated tags)")
-    p.add_argument(
-        "--algorithm", required=True, choices=("a", "b", "heymann", "schmitz")
-    )
+    p.add_argument("--algorithm", required=True, choices=_EXTRACTORS)
     p.add_argument("--with-ids", action="store_true", help="first field of each line is an object id")
     p.add_argument("--omega", type=float, default=0.4, help="algorithm a: incoming-link threshold factor")
     p.add_argument("--z-threshold", type=float, default=10.0, help="algorithm b: z-score pruning threshold")
@@ -317,9 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(
+def _manifest_lines(
     args: argparse.Namespace, argv: list[str], rows: list[tuple[str, object]], started: float
-) -> None:
+) -> Iterator[str]:
+    # a generator, so `duration_s` is read only once the output is written
     rows = [
         ("subcommand", args.cmd),
         *rows,
@@ -328,14 +325,8 @@ def _write_manifest(
         ("duration_s", f"{time.perf_counter() - started:.3f}"),
         ("argv", "\t".join(argv)),
     ]
-    text = "".join(
-        f"{key}\t{str(value).lower() if isinstance(value, bool) else value}\n"
-        for key, value in rows
-    )
-    path = args.manifest_out
-    if path is None:
-        path = f"{args.out}.manifest" if args.out != "-" else "-"
-    _write_output(path, [text], sys.stderr)
+    for key, value in rows:
+        yield f"{key}\t{str(value).lower() if isinstance(value, bool) else value}\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -360,12 +351,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(raw_argv)
     started = time.perf_counter()
+    manifest = args.manifest_out
+    if manifest is None:
+        manifest = f"{args.out}.manifest" if args.out != "-" else "-"
     try:
-        rows = args.handler(args)
+        if "-" not in (args.out, manifest) and os.path.abspath(manifest) == os.path.abspath(args.out):
+            raise ValueError(f"--manifest-out {manifest!r} names the --out file")
+        chunks, rows = args.handler(args)
+        manifest_lines = _manifest_lines(args, raw_argv, rows, started)
+        _write_files([(args.out, chunks, sys.stdout), (manifest, manifest_lines, sys.stderr)])
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(args, raw_argv, rows, started)
     return 0
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import os
 
 import pytest
@@ -278,6 +279,37 @@ def test_manifest_out_flag_overrides_default_path(tmp_path):
     main(["tree", "--levels", "2", "--out", str(out), "--manifest-out", str(manifest)])
     assert manifest.exists()
     assert not (tmp_path / "tree.tsv.manifest").exists()
+
+
+def test_stdout_output_with_a_manifest_file(tmp_path, capsys):
+    manifest = tmp_path / "run.manifest"
+    assert main(["tree", "--levels", "2", "--out", "-", "--manifest-out", str(manifest)]) == 0
+    assert capsys.readouterr() == ("1\t2\n1\t3\n", "")
+    assert _manifest(manifest)["out"] == "-"
+
+
+@pytest.mark.parametrize("missing", ["--out", "--manifest-out"])
+def test_failed_write_names_the_path_and_keeps_both_older_files(tmp_path, capsys, missing):
+    paths = {"--out": tmp_path / "e.tsv", "--manifest-out": tmp_path / "e.manifest"}
+    for path in paths.values():
+        path.write_text(f"older {path.name}\n", encoding="utf-8")
+    target = {**paths, missing: tmp_path / "missing" / "f"}
+    argv = ["tree", "--levels", "3", "--out", str(target["--out"])]
+    assert main(argv + ["--manifest-out", str(target["--manifest-out"])]) == 1
+    no_such = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+    assert capsys.readouterr().err == f"error: {no_such}: {str(target[missing])!r}\n"
+    for path in paths.values():
+        assert path.read_text(encoding="utf-8") == f"older {path.name}\n"
+    assert sorted(os.listdir(tmp_path)) == ["e.manifest", "e.tsv"]
+
+
+@pytest.mark.parametrize("manifest_out", ["e.tsv", "./e.tsv"])
+def test_manifest_out_naming_the_output_is_rejected(tmp_path, monkeypatch, capsys, manifest_out):
+    monkeypatch.chdir(tmp_path)
+    code = main(["tree", "--levels", "3", "--out", "e.tsv", "--manifest-out", manifest_out])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --manifest-out {manifest_out!r} names the --out file\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_missing_input_file_reports_error(tmp_path, capsys):
