@@ -148,9 +148,11 @@ def strip_synthetic_root(h: Hierarchy) -> Hierarchy:
     """Drop the synthetic root; its children become roots of the forest."""
     if SYNTHETIC_ROOT not in h.tags:
         return h
-    tags = [t for t in h.tags if t != SYNTHETIC_ROOT]
-    edges = [(p, c) for p, c in h.edges if p != SYNTHETIC_ROOT and c != SYNTHETIC_ROOT]
-    return Hierarchy(tags, edges)
+    r = h.tags.index(SYNTHETIC_ROOT)
+    # links at the root go, and the positions above it shift down by one
+    kept = ((p, c) for p, cs in enumerate(h._children) if p != r for c in cs if c != r)
+    links = [(p - (p > r), c - (c > r)) for p, c in kept]
+    return Hierarchy.__new__(Hierarchy)._link(h.tags[:r] + h.tags[r + 1 :], links)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,13 @@ import math
 import random
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import accumulate, chain
+from dataclasses import dataclass, replace
+from itertools import accumulate, pairwise
 from typing import Iterator
 
-from .corpus import TagCorpus, corpus_from_object_lists
+import numpy as np
+
+from .corpus import TagCorpus, _corpus
 from .hierarchy import Hierarchy
 from .seeds import derive_seed
 
@@ -123,13 +125,13 @@ def frequency_profile(
 
 
 def _make_chunk(
-    h_tags: tuple[str, ...],
     cum: list[float],
     walk: list[tuple[tuple[int, ...], int, int]],
     config: BenchmarkConfig,
     chunk_index: int,
     count: int,
-) -> list[list[str]]:
+) -> tuple[list[int], np.ndarray]:
+    """Every drawn position back to back, repeats included, and each object's draw count."""
     rng = random.Random(derive_seed(config.seed, "objects", chunk_index))
     # bounded draws inline CPython's `_randbelow_with_getrandbits(m)`, the draw
     # behind `randrange(m)` and `randint(lo, lo + m - 1) - lo`: take m's bit
@@ -145,7 +147,8 @@ def _make_chunk(
     w_lo, w_span = config.walk_length[1], config.walk_length[2] - config.walk_length[1] + 1
     w_bits = w_span.bit_length()
     p_rw = config.p_random_walk
-    out = []
+    flat, sizes = [], []
+    append = flat.append
     for _ in range(count):
         if fixed:
             n_t = k
@@ -157,8 +160,9 @@ def _make_chunk(
                 while p > limit:
                     n_t += 1
                     p *= random_()
+        sizes.append(n_t)
         first = bisect_right(head, random_() * total)
-        drawn = [first]
+        append(first)
         for _ in range(n_t - 1):
             if random_() < p_rw:
                 steps = getrandbits(w_bits)
@@ -172,18 +176,14 @@ def _make_chunk(
                         while r >= m:
                             r = getrandbits(bits)
                         cur = nb[r]
-                drawn.append(cur)
+                append(cur)
             else:
-                drawn.append(bisect_right(head, random_() * total))
-        out.append([h_tags[i] for i in dict.fromkeys(drawn)])
-    return out
+                append(bisect_right(head, random_() * total))
+    return flat, np.array(sizes, dtype=np.int64)
 
 
-def iter_object_tags(h: Hierarchy, config: BenchmarkConfig) -> Iterator[list[str]]:
-    """Objects in generation order, as lists of distinct tag names.
-
-    The hierarchy is checked when this is called, before any draw.
-    """
+def _chunks(h: Hierarchy, config: BenchmarkConfig) -> Iterator[tuple[list[int], np.ndarray]]:
+    """`_make_chunk` blocks in generation order; `h` is checked here, before any draw."""
     if not h.tags:
         raise ValueError("hierarchy has no tags")
     profile = frequency_profile(
@@ -192,12 +192,23 @@ def iter_object_tags(h: Hierarchy, config: BenchmarkConfig) -> Iterator[list[str
     cum = list(accumulate(profile[t] for t in h.tags))
     # per position: its neighbours, their count and the count's bit length
     walk = [(nb, len(nb), len(nb).bit_length()) for nb in h.undirected_neighbors()]
-    return chain.from_iterable(
-        _make_chunk(h.tags, cum, walk, config, ci, min(CHUNK_OBJECTS, config.object_count - start))
+    return (
+        _make_chunk(cum, walk, config, ci, min(CHUNK_OBJECTS, config.object_count - start))
         for ci, start in enumerate(range(0, config.object_count, CHUNK_OBJECTS))
     )
 
 
+def iter_object_tags(h: Hierarchy, config: BenchmarkConfig) -> Iterator[list[str]]:
+    """Objects in generation order, as lists of distinct tag names."""
+    return (
+        [h.tags[i] for i in dict.fromkeys(flat[a:b])]
+        for flat, sizes in _chunks(h, config)
+        for a, b in pairwise(accumulate(sizes.tolist(), initial=0))
+    )
+
+
 def generate(h: Hierarchy, config: BenchmarkConfig) -> TagCorpus:
-    """Generate a benchmark corpus from a hierarchy."""
-    return corpus_from_object_lists(iter_object_tags(h, config))
+    """Generate a benchmark corpus from a hierarchy, naming each tag once."""
+    # positions intern in first-appearance order, the order their names would
+    corpus = _corpus(_chunks(h, config))
+    return replace(corpus, names=tuple(h.tags[p] for p in corpus.names))

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import random
 import sys
 import time
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .baselines import (
@@ -51,7 +52,7 @@ from .metrics import decay_curve, evaluate_hierarchies
 from .textio import TextFormatError
 
 
-def _write_files(targets: Iterable[tuple[str, Iterable[str], TextIO]]) -> None:
+def _write_files(targets: Sequence[tuple[str, Iterable[str], TextIO]]) -> None:
     """Write each `(path, chunks, stream)` whole, and either every file or none.
 
     "-" writes to `stream`. Each named file's chunks go to a temporary file
@@ -59,6 +60,9 @@ def _write_files(targets: Iterable[tuple[str, Iterable[str], TextIO]]) -> None:
     one is written, so a failure leaves no partial file and any older file
     at a path untouched. Write errors name the path, not its temporary file.
     """
+    for path, _, _ in targets:
+        if path != "-" and os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     pending: list[tuple[str, str]] = []
     try:
         for path, chunks, stream in targets:

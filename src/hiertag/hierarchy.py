@@ -61,13 +61,11 @@ class Hierarchy:
         order = sorted(range(n), key=names.__getitem__)
         position = dict(zip(order, range(n)))
         links = [(position[p], position[c]) for c, p in enumerate(parent) if p >= 0]
-        h = cls.__new__(cls)
-        h._link(tuple(names[i] for i in order), links)
-        return h
+        return cls.__new__(cls)._link(tuple(names[i] for i in order), links)
 
-    def _link(self, tags: tuple[str, ...], links: list[tuple[int, int]]) -> None:
-        """Build every field from sorted `tags` and distinct (parent, child)
-        position pairs; raise `CycleError` when the links hold a cycle."""
+    def _link(self, tags: tuple[str, ...], links: list[tuple[int, int]]) -> "Hierarchy":
+        """Set every field from sorted `tags` and distinct (parent, child)
+        position pairs and return `self`; a cycle in the links raises `CycleError`."""
         self.tags: tuple[str, ...] = tags
         self.n_edges = len(links)
         children: list[list[int]] = [[] for _ in tags]
@@ -91,6 +89,7 @@ class Hierarchy:
             cyclic = [t for t, k in zip(tags, indeg) if k]
             raise CycleError(f"hierarchy contains a directed cycle through {cyclic[:5]}")
         self._order = order
+        return self
 
     @property
     def n_tags(self) -> int:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiertag.baselines import (
     SYNTHETIC_ROOT,
@@ -14,7 +16,7 @@ from hiertag.baselines import (
     strip_synthetic_root,
 )
 from hiertag.corpus import build_cooccurrence, corpus_from_object_lists
-from hiertag.hierarchy import Hierarchy
+from hiertag.hierarchy import Hierarchy, hierarchy_to_text
 
 
 def _network(objects):
@@ -46,6 +48,43 @@ def test_strip_synthetic_root():
     # hierarchies without the synthetic root pass through untouched
     plain = Hierarchy(("x", "y"), (("x", "y"),))
     assert strip_synthetic_root(plain) == plain
+
+
+def _strip_by_names(h):
+    """Reference: drop the synthetic root's name and every name pair it is in."""
+    if SYNTHETIC_ROOT not in h.tags:
+        return h
+    tags = [t for t in h.tags if t != SYNTHETIC_ROOT]
+    edges = [(p, c) for p, c in h.edges if p != SYNTHETIC_ROOT and c != SYNTHETIC_ROOT]
+    return Hierarchy(tags, edges)
+
+
+@st.composite
+def hierarchies_around_a_synthetic_root(draw):
+    """A random forest or DAG, mostly with the synthetic root among its tags.
+    Other names sort before and after it, and links run forward in a random
+    order of the tags, so the root can be a parent, a child, both or isolated."""
+    names = draw(st.lists(st.text("!+a", min_size=1, max_size=3), max_size=12, unique=True))
+    root = [SYNTHETIC_ROOT] if draw(st.integers(0, 3)) else []
+    order = draw(st.permutations(names + root))
+    most = draw(st.sampled_from([1, 3]))
+    edges = [
+        (order[p], order[j])
+        for j in range(1, len(order))
+        for p in draw(st.lists(st.integers(0, j - 1), max_size=most, unique=True))
+    ]
+    return Hierarchy(order, edges)
+
+
+@settings(deadline=None)
+@given(hierarchies_around_a_synthetic_root())
+def test_strip_synthetic_root_matches_the_name_based_reference(h):
+    got, want = strip_synthetic_root(h), _strip_by_names(h)
+    assert got == want
+    assert (got.tags, got.edges, got.roots, got.n_edges) == (
+        want.tags, want.edges, want.roots, want.n_edges
+    )
+    assert hierarchy_to_text(got) == hierarchy_to_text(want)
 
 
 def test_heymann_closeness_variant_agrees_on_nested_corpus():

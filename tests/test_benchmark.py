@@ -21,6 +21,7 @@ from hiertag.benchmark import (
     parse_profile,
     parse_walk_length,
 )
+from hiertag.corpus import corpus_from_object_lists
 from hiertag.hierarchy import Hierarchy, binary_tree
 from hiertag.seeds import derive_seed
 
@@ -248,15 +249,30 @@ def generator_configs(draw):
     )
 
 
-@settings(deadline=None)
-@given(generator_hierarchies(), generator_configs())
 # a star: one hub with 20 neighbours, every walk step a draw below 20 or 1
-@example(
+STAR = (
     Hierarchy([f"t{k:02d}" for k in range(21)], [("t00", f"t{k:02d}") for k in range(1, 21)]),
     BenchmarkConfig(CHUNK_OBJECTS + 5, 1.0, ("fixed", 4), ("uniform", 1, 9), seed=11),
 )
+
+
+@settings(deadline=None)
+@given(generator_hierarchies(), generator_configs())
+@example(*STAR)
 def test_generator_draws_what_the_public_randrange_loop_draws(h, config):
     assert list(iter_object_tags(h, config)) == _reference_objects(h, config)
+
+
+@settings(deadline=None)
+@given(generator_hierarchies(), generator_configs())
+@example(*STAR)
+def test_generate_interns_what_iter_object_tags_names(h, config):
+    # generate() interns drawn positions and names each tag once at the end;
+    # iter_object_tags() names every object, as the CLI writes it
+    got = generate(h, config)
+    want = corpus_from_object_lists(iter_object_tags(h, config))
+    assert got.names == want.names
+    assert got == want
 
 
 def test_linear_depth_profile_weights():

@@ -303,6 +303,25 @@ def test_failed_write_names_the_path_and_keeps_both_older_files(tmp_path, capsys
     assert sorted(os.listdir(tmp_path)) == ["e.manifest", "e.tsv"]
 
 
+@pytest.mark.parametrize("directory", ["--out", "--manifest-out"])
+def test_a_directory_target_fails_before_either_file_is_replaced(tmp_path, capsys, directory):
+    # os.replace would put the output in place and only then fail on a
+    # manifest path that is a directory
+    paths = {"--out": tmp_path / "e.tsv", "--manifest-out": tmp_path / "e.manifest"}
+    for path in paths.values():
+        path.write_text(f"older {path.name}\n", encoding="utf-8")
+    target = {**paths, directory: tmp_path / "d"}
+    target[directory].mkdir()
+    argv = ["tree", "--levels", "3", "--out", str(target["--out"])]
+    assert main(argv + ["--manifest-out", str(target["--manifest-out"])]) == 1
+    is_a_directory = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
+    assert capsys.readouterr().err == f"error: {is_a_directory}: {str(target[directory])!r}\n"
+    for path in paths.values():
+        assert path.read_text(encoding="utf-8") == f"older {path.name}\n"
+    assert sorted(os.listdir(tmp_path)) == ["d", "e.manifest", "e.tsv"]
+    assert os.listdir(target[directory]) == []
+
+
 @pytest.mark.parametrize("manifest_out", ["e.tsv", "./e.tsv"])
 def test_manifest_out_naming_the_output_is_rejected(tmp_path, monkeypatch, capsys, manifest_out):
     monkeypatch.chdir(tmp_path)
