@@ -49,7 +49,7 @@ from .hierarchy import (
     rewire,
 )
 from .metrics import decay_curve, evaluate_hierarchies
-from .textio import TextFormatError
+from .textio import TextFormatError, record_lines
 
 
 def _write_files(targets: Sequence[tuple[str, Iterable[str], TextIO]]) -> None:
@@ -92,14 +92,9 @@ def _load_tree(path: str, command: str) -> Hierarchy:
 
 
 def _read_manifest_argv(path: str) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                key, _, value = line.rstrip("\n").partition("\t")
-                if key == "argv":
-                    return value.split("\t")
-    except UnicodeDecodeError:
-        raise TextFormatError.undecodable(path) from None
+    for _, fields in record_lines(path, TextFormatError):
+        if fields[0] == "argv":
+            return fields[1:]
     raise ValueError(f"manifest {path!r} has no argv line to replay")
 
 
@@ -117,11 +112,19 @@ def _check_runs(option: str, runs: int) -> None:
         raise ValueError(f"{option} must be >= 1")
 
 
-def _parse_descriptor(option: str, parse: Callable[[str], tuple], text: str) -> tuple:
+@contextlib.contextmanager
+def _named(prefix: str) -> Iterator[None]:
+    """Re-raise a ValueError from the block with `prefix` (the file or
+    option it concerns) before its message."""
     try:
-        return parse(text)
+        yield
     except ValueError as exc:
-        raise ValueError(f"{option} {text!r}: {exc}") from None
+        raise ValueError(f"{prefix}: {exc}") from None
+
+
+def _parse_descriptor(option: str, parse: Callable[[str], tuple], text: str) -> tuple:
+    with _named(f"{option} {text!r}"):
+        return parse(text)
 
 
 def _option_rows(args: argparse.Namespace, *names: str) -> list[tuple[str, object]]:
@@ -144,10 +147,8 @@ def _cmd_generate(args: argparse.Namespace) -> _Run:
         frequency_profile=_parse_descriptor("--profile", parse_profile, args.profile),
         seed=args.seed,
     )
-    try:
+    with _named(args.hierarchy):
         objects = iter_object_tags(h, config)
-    except ValueError as exc:
-        raise ValueError(f"{args.hierarchy}: {exc}") from None
     rows = _option_rows(
         args, "hierarchy", "objects", "tags_per_object", "p_rw", "walk", "profile", "seed"
     )
@@ -175,7 +176,9 @@ def _cmd_extract(args: argparse.Namespace) -> _Run:
     if args.algorithm == "b":
         network = prune_network(network, params.z_threshold)
         rows.append(("pairs_kept", network.n_pairs))
-    return [hierarchy_to_text(extractor(network, params))], rows
+    with _named(args.input):
+        h = extractor(network, params)
+    return [hierarchy_to_text(h)], rows
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> _Run:
@@ -188,7 +191,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> _Run:
     recon = load_hierarchy(args.recon)
     if SYNTHETIC_ROOT in recon.tags and SYNTHETIC_ROOT not in exact.tags:
         recon = strip_synthetic_root(recon)
-    try:
+    with _named(f"{args.exact}, {args.recon}"):
         report = evaluate_hierarchies(
             exact,
             recon,
@@ -198,8 +201,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> _Run:
             curve_grid=grid,
             seed=args.seed,
         )
-    except ValueError as exc:
-        raise ValueError(f"{args.exact}, {args.recon}: {exc}") from None
     curve = ("curve_order", "curve_runs", "curve_grid_step") if args.lmi else ()
     return [report.to_text()], _option_rows(args, "exact", "recon", "lmi", *curve, "seed")
 
@@ -208,10 +209,8 @@ def _cmd_curve(args: argparse.Namespace) -> _Run:
     _check_runs("--runs", args.runs)
     grid = _grid_from_step("--grid-step", args.grid_step)
     h = _load_tree(args.input, "curve")
-    try:
+    with _named(args.input):
         curve = decay_curve(h, order=args.order, runs=args.runs, grid=grid, seed=args.seed)
-    except ValueError as exc:
-        raise ValueError(f"{args.input}: {exc}") from None
     return [curve.to_text()], _option_rows(args, "input", "order", "runs", "grid_step", "seed")
 
 

@@ -1,10 +1,10 @@
 """Tag-object corpora and co-occurrence counting.
 
-Objects files are UTF-8 text: one object per line, tags separated by TABs,
-'#' comment lines and blank lines ignored. Duplicate tags within a line
-collapse (set semantics), so a pair of tags is counted at most once per
-object. With `with_ids=True` the first field of each line is an opaque
-object id and is skipped.
+An objects file holds one object per record of the `textio` format, its
+tags as the fields. Duplicate tags within a record collapse (set
+semantics), so a pair of tags is counted at most once per object. With
+`with_ids=True` the first field of each record is an opaque object id and
+is skipped.
 
 A corpus is the object x tag incidence matrix X (X[o, i] = 1 iff object o
 carries tag i), held as CSR arrays. Every way in (a file, object lists, the
@@ -20,15 +20,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .textio import TextFormatError
+from .textio import TextFormatError, record_blocks, record_lines
 
-# characters of file text per block, and objects per block of object lists
-BLOCK_CHARS = 1 << 16
+# objects per block of object lists
 BLOCK_OBJECTS = 1 << 12
 
 
@@ -118,19 +117,8 @@ def _list_blocks(object_tags: Iterable[Sequence]) -> Iterator[tuple[Iterable, np
         yield chain.from_iterable(block), sizes
 
 
-def _file_blocks(fh: TextIO, with_ids: bool) -> Iterator[tuple[Iterable, np.ndarray]]:
-    carry = ""
-    while text := carry + (chunk := fh.read(BLOCK_CHARS)):
-        # a block ends at its last newline; the rest goes with the next block
-        cut = text.rfind("\n") + 1 if chunk else len(text)
-        carry = text[cut:]
-        # split("\n"), not splitlines(): text mode has already turned \r\n
-        # and \r into \n, and splitlines() would also break on \v, \f,
-        # \x1c-\x1e, \x85, \u2028 and \u2029, which may occur inside a tag.
-        # Lines that are all whitespace or start with '#' after it are skipped.
-        rows = [r for r in text[:cut].split("\n") if (s := r.lstrip()) and s[0] != "#"]
-        if not rows:
-            continue
+def _file_blocks(path: str, with_ids: bool) -> Iterator[tuple[Iterable, np.ndarray]]:
+    for rows in record_blocks(path, CorpusFormatError):
         if with_ids:
             # a row with only an id leaves the tag "", which load_corpus reports
             rows = [r.partition("\t")[2] for r in rows]
@@ -145,11 +133,10 @@ def corpus_from_object_lists(object_tags: Iterable[Sequence[str]]) -> TagCorpus:
 def load_corpus(path: str, with_ids: bool = False) -> TagCorpus:
     """Read an objects file; errors name the file and, where there is one, the line."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            corpus = _corpus(_file_blocks(fh, with_ids))
-    except UnicodeDecodeError:
-        raise CorpusFormatError.undecodable(path) from None
-    except CorpusFormatError:
+        corpus = _corpus(_file_blocks(path, with_ids))
+    except CorpusFormatError as exc:
+        if exc.path is not None:  # a UTF-8 fault, already numbered
+            raise
         corpus = None
     # an empty field interns as the tag ""; the file is only re-read to
     # number the offending line, so well-formed input is read once
@@ -159,15 +146,12 @@ def load_corpus(path: str, with_ids: bool = False) -> TagCorpus:
 
 
 def _first_malformed_line(path: str, with_ids: bool) -> CorpusFormatError:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.rstrip("\n").split("\t")[1 if with_ids else 0 :]
-            if not fields:
-                return CorpusFormatError("object with no tags", lineno, path)
-            if "" in fields:
-                return CorpusFormatError("empty tag field", lineno, path)
+    for lineno, fields in record_lines(path, CorpusFormatError):
+        tags = fields[1 if with_ids else 0 :]
+        if not tags:
+            return CorpusFormatError("object with no tags", lineno, path)
+        if "" in tags:
+            return CorpusFormatError("empty tag field", lineno, path)
     return CorpusFormatError("zero objects", path=path)
 
 

@@ -1,16 +1,16 @@
 """Directed tag hierarchies: loading, saving, descendant tables, rewiring.
 
 A hierarchy is a directed acyclic graph over tags, with edges pointing from
-ancestor to descendant. Files are line-oriented: one "parent TAB child" edge
-per line, '#' comment lines, blank lines ignored, and a line without a TAB
-declares an isolated tag.
+ancestor to descendant. A hierarchy file holds one "parent TAB child" edge
+per record of the `textio` format; a record with one field declares an
+isolated tag.
 """
 from __future__ import annotations
 
 import random
 from typing import Iterable, Sequence
 
-from .textio import TextFormatError
+from .textio import TextFormatError, record_lines
 
 
 class CycleError(ValueError):
@@ -143,31 +143,19 @@ def load_hierarchy(path: str) -> Hierarchy:
     """Read a hierarchy file; format errors name the file and line."""
     tags: set[str] = set()
     edges: list[tuple[str, str]] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) == 1:
-                    if not fields[0]:
-                        raise HierarchyFormatError("empty tag", lineno, path)
-                    tags.add(fields[0])
-                elif len(fields) == 2:
-                    parent, child = fields
-                    if not parent or not child:
-                        raise HierarchyFormatError("empty tag in edge", lineno, path)
-                    if parent == child:
-                        raise HierarchyFormatError(f"self-loop on tag {parent!r}", lineno, path)
-                    tags.update((parent, child))
-                    edges.append((parent, child))
-                else:
-                    raise HierarchyFormatError(
-                        f"expected 1 or 2 fields, got {len(fields)}", lineno, path
-                    )
-    except UnicodeDecodeError:
-        raise HierarchyFormatError.undecodable(path) from None
+    for lineno, fields in record_lines(path, HierarchyFormatError):
+        if len(fields) == 1:
+            tags.add(fields[0])
+        elif len(fields) == 2:
+            parent, child = fields
+            if not parent or not child:
+                raise HierarchyFormatError("empty tag in edge", lineno, path)
+            if parent == child:
+                raise HierarchyFormatError(f"self-loop on tag {parent!r}", lineno, path)
+            tags.update((parent, child))
+            edges.append((parent, child))
+        else:
+            raise HierarchyFormatError(f"expected 1 or 2 fields, got {len(fields)}", lineno, path)
     try:
         return Hierarchy(tags, edges)
     except CycleError as exc:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiertag import corpus as corpus_module
+from hiertag import textio
 from hiertag.corpus import CorpusFormatError, TagCorpus, corpus_from_object_lists, load_corpus
 
 
@@ -121,7 +122,7 @@ def test_load_corpus_matches_the_reference(tmp_path_factory, text, with_ids, blo
     path = tmp_path_factory.mktemp("corpus") / "objects.tsv"
     path.write_bytes(text.encode("utf-8"))
     expected = _outcome(reference_load, str(path), with_ids)
-    with mock.patch.object(corpus_module, "BLOCK_CHARS", block):
+    with mock.patch.object(textio, "BLOCK_CHARS", block):
         got = _outcome(load_corpus, str(path), with_ids)
     assert got == expected
 
@@ -142,7 +143,7 @@ def test_crlf_split_across_blocks_is_one_line_break(tmp_path):
     path = tmp_path / "objects.tsv"
     path.write_bytes(b"a\tb\r\nb\tc\r\n\r\nc\r\n")
     for block in range(1, 16):
-        with mock.patch.object(corpus_module, "BLOCK_CHARS", block):
+        with mock.patch.object(textio, "BLOCK_CHARS", block):
             corpus = load_corpus(str(path))
         assert corpus.names == ("a", "b", "c")
         assert corpus.indptr.tolist() == [0, 2, 4, 5]
