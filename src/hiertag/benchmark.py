@@ -33,6 +33,10 @@ def parse_count_distribution(text: str) -> tuple:
         k = int(arg)
         if k < 1:
             raise ValueError("fixed tag count must be >= 1")
+        # every object draws k positions, held a chunk of objects at a time;
+        # the bound is the scale of the largest Poisson mean's draws (about 745)
+        if k > 1000:
+            raise ValueError(f"fixed tag count is too large: {k} > 1000")
         return ("fixed", k)
     if kind == "poisson":
         lam = float(arg)

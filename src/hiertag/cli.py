@@ -18,7 +18,7 @@ import os
 import random
 import sys
 import time
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 from . import __version__
 from .baselines import (
@@ -91,16 +91,35 @@ def _load_tree(path: str, command: str) -> Hierarchy:
     return h
 
 
-def _read_manifest_argv(path: str) -> list[str]:
-    for _, fields in record_lines(path, TextFormatError):
+class _ReplayParser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ValueError, so that a replay reports
+    them as its manifest's, not as the command line's."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _replay_args(path: str) -> tuple[list[str], argparse.Namespace]:
+    """The arguments stored in the argv row of manifest `path`, and their
+    parse; a usage error names the manifest and that row's line."""
+    for lineno, fields in record_lines(path, TextFormatError):
         if fields[0] == "argv":
-            return fields[1:]
+            if fields[1:2] == ["--manifest"]:
+                raise ValueError(
+                    f"manifest {path!r} replays another manifest; nested replay is not supported"
+                )
+            with _named(f"{path}: line {lineno}: argv"):
+                return fields[1:], build_parser(_ReplayParser).parse_args(fields[1:])
     raise ValueError(f"manifest {path!r} has no argv line to replay")
 
 
 def _grid_from_step(option: str, step: float) -> tuple[float, ...]:
     if not 0.0 < step <= 1.0:
         raise ValueError(f"{option} must be in (0, 1]")
+    # a finer grid is rejected before it is built: 1/step + 1 fractions, each
+    # a row of curve cells
+    if step < 0.001:
+        raise ValueError(f"{option} must be at least 0.001")
     points = round(1.0 / step)
     if abs(points * step - 1.0) > 1e-9:
         raise ValueError(f"{option} must divide 1 evenly")
@@ -224,8 +243,9 @@ def _cmd_tree(args: argparse.Namespace) -> _Run:
     return [hierarchy_to_text(binary_tree(args.levels))], _option_rows(args, "levels")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The `hiertag` parser; its subcommand parsers are of `parser_class` too."""
+    parser = parser_class(
         prog="hiertag",
         description="Extract, evaluate and benchmark directed tag hierarchies "
         "from tag co-occurrence data.",
@@ -339,20 +359,12 @@ def main(argv: list[str] | None = None) -> int:
             print("error: --manifest takes exactly one manifest file", file=sys.stderr)
             return 2
         try:
-            stored = _read_manifest_argv(raw_argv[1])
+            raw_argv, args = _replay_args(raw_argv[1])
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        if stored[:1] == ["--manifest"]:
-            print(
-                f"error: manifest {raw_argv[1]!r} replays another manifest; "
-                "nested replay is not supported",
-                file=sys.stderr,
-            )
-            return 1
-        return main(stored)
-    parser = build_parser()
-    args = parser.parse_args(raw_argv)
+    else:
+        args = build_parser().parse_args(raw_argv)
     started = time.perf_counter()
     manifest = args.manifest_out
     if manifest is None:

@@ -192,43 +192,34 @@ def binary_tree(levels: int) -> Hierarchy:
     """Balanced binary tree with 2**levels - 1 tags named "1".."2**levels-1"."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    n = 2**levels - 1
+    # 20 levels are 1,048,575 tags, built and written in about 0.5 GB, and
+    # every level more doubles that
+    if levels > 20:
+        raise ValueError(f"levels is too large: {levels} > 20")
     # tag i hangs under tag i // 2, at index i // 2 - 1; tag 1 gets -1, the root
-    ids = range(1, n + 1)
+    ids = range(1, 2**levels)
     return Hierarchy.from_parents([str(i) for i in ids], [i // 2 - 1 for i in ids])
 
 
 REWIRING_ORDERS = ("leaf-first", "random", "top-first")
 
 
-def forest_parents(h: Hierarchy) -> list[int] | None:
-    """Each tag's parent as a position in `h.tags`, -1 for a root; None when
-    some tag has several parents."""
-    if not h.is_forest():
-        return None
-    parent = [-1] * len(h.tags)
-    for p, cs in enumerate(h._children):
-        for c in cs:
-            parent[c] = p
-    return parent
-
-
-def _rewire_plan(h: Hierarchy, fraction: float, order: str) -> tuple[list[int], list[int]]:
-    """Check `rewire`'s arguments; return the tree's parent list and its links
-    as child positions in rewiring order ("random": tag order, shuffled per
-    rewiring by the kernel)."""
+def _rewire_plan(h: Hierarchy, order: str) -> tuple[list[int], list[int]]:
+    """Check that `h` is a tree and `order` is known; return the tree's
+    parent list and its links as child positions in rewiring order
+    ("random": tag order, shuffled per rewiring by the kernel)."""
     if not h.is_tree():
         raise ValueError("rewire requires a single-rooted tree")
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     if order not in REWIRING_ORDERS:
         raise ValueError(f"unknown rewiring order {order!r}, expected one of {REWIRING_ORDERS}")
-    parent = forest_parents(h)
+    parent, depth = [-1] * len(h.tags), [0] * len(h.tags)
+    for p in h._order:  # topological, so each parent's depth is set first
+        for c in h._children[p]:
+            parent[c], depth[c] = p, depth[p] + 1
     links = [i for i, p in enumerate(parent) if p >= 0]
     if order != "random":
-        depth, tags = h.depths(), h.tags
         # stable, so ties stay in tag order either way
-        links.sort(key=lambda i: depth[tags[i]], reverse=order == "leaf-first")
+        links.sort(key=depth.__getitem__, reverse=order == "leaf-first")
     return parent, links
 
 
@@ -267,6 +258,8 @@ def rewire(h: Hierarchy, fraction: float, order: str, rng: random.Random) -> Hie
     ties by tag), "random" shuffles with `rng`. The work runs on a parent
     list over tag positions; `decay_curve` calls the same kernel per cell.
     """
-    parent, links = _rewire_plan(h, fraction, order)
+    parent, links = _rewire_plan(h, order)
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     parent = _rewire_parents(parent, links, fraction, rng, order == "random")
     return Hierarchy.from_parents(h.tags, parent)

@@ -244,8 +244,7 @@ def decay_curve(
     fs = DEFAULT_GRID if grid is None else tuple(grid)
     if not fs or any(not 0.0 <= f <= 1.0 for f in fs) or list(fs) != sorted(fs):
         raise ValueError("grid must be ascending fractions within [0, 1]")
-    # the grid's fractions are checked above
-    parent, links = _rewire_plan(exact, 0.0, order)
+    parent, links = _rewire_plan(exact, order)
     if len(parent) < 2:
         raise ValueError("NMI needs at least 2 tags")
     bits = [1 << i for i in range(len(parent))]

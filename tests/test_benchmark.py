@@ -38,6 +38,12 @@ def test_parse_count_distribution():
 def test_parse_count_distribution_rejects_bad_input():
     with pytest.raises(ValueError, match="fixed tag count"):
         parse_count_distribution("fixed:0")
+    # rejected on parsing, before any object would draw its billion tags
+    assert parse_count_distribution("fixed:1000") == ("fixed", 1000)
+    with pytest.raises(ValueError, match="fixed tag count is too large: 1001 > 1000"):
+        parse_count_distribution("fixed:1001")
+    with pytest.raises(ValueError, match="fixed tag count is too large: 1000000000 > 1000"):
+        parse_count_distribution("fixed:1000000000")
     with pytest.raises(ValueError, match="poisson mean"):
         parse_count_distribution("poisson:0")
     with pytest.raises(ValueError, match="unknown tags-per-object"):
@@ -88,6 +94,7 @@ def test_config_validation():
         ({"walk_length": ("uniform", 3, 1)}, "walk length bounds must satisfy 1 <= lo <= hi"),
         ({"frequency_profile": ("power-law", -1.0)}, "power-law exponent must be > 0"),
         ({"frequency_profile": ("zipf", 2.0)}, "unknown frequency profile"),
+        ({"tags_per_object": ("fixed", 10**9)}, "fixed tag count is too large"),
     ],
 )
 def test_config_rejects_bad_descriptors(descriptors, message):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from hiertag.cli import main
+from hiertag.cli import _grid_from_step, main
 from hiertag.hierarchy import Hierarchy, binary_tree, hierarchy_to_text, load_hierarchy
 
 
@@ -199,6 +199,48 @@ def test_grid_step_is_checked_before_any_file_is_read(tmp_path, monkeypatch, cap
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {option} must divide 1 evenly\n"
     assert os.listdir(tmp_path) == []
+
+
+def test_grid_step_bound_is_checked_before_the_grid_is_built():
+    assert len(_grid_from_step("--grid-step", 0.001)) == 1001
+    # 1e-9 divides 1 evenly by arithmetic, so only the bound stops a grid of
+    # 10**9 + 1 fractions
+    for step in (0.0005, 1e-9):
+        with pytest.raises(ValueError, match=r"^--grid-step must be at least 0\.001$"):
+            _grid_from_step("--grid-step", step)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tree", "--levels", "40"], "levels is too large: 40 > 20"),
+        (["curve", "exact.tsv", "--grid-step", "1e-9"], "--grid-step must be at least 0.001"),
+        (
+            ["evaluate", "exact.tsv", "exact.tsv", "--lmi", "--curve-grid-step", "1e-9"],
+            "--curve-grid-step must be at least 0.001",
+        ),
+        (
+            ["generate", "--hierarchy", "exact.tsv", "--objects", "5"]
+            + ["--tags-per-object", "fixed:1000000000"],
+            "--tags-per-object 'fixed:1000000000': "
+            "fixed tag count is too large: 1000000000 > 1000",
+        ),
+    ],
+)
+def test_unbounded_sizes_are_rejected_before_allocation(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    # should the generate check go, the draw fails at once instead of
+    # appending 10**9 positions per object
+    def no_draws(*args):
+        raise AssertionError("the generator ran")
+
+    monkeypatch.setattr("hiertag.benchmark._make_chunk", no_draws)
+    monkeypatch.chdir(tmp_path)
+    assert main(["tree", "--levels", "3", "--out", "exact.tsv"]) == 0
+    assert main(argv + ["--out", "o.tsv"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["exact.tsv", "exact.tsv.manifest"]
 
 
 @pytest.mark.parametrize(
@@ -404,6 +446,30 @@ def test_nested_manifest_replay_is_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nested replay" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        (
+            "subcommand\ttree\nargv\ttree\t--levels\tx\n",
+            2,
+            "hiertag tree: argument --levels: invalid int value: 'x'",
+        ),
+        ("# no arguments\nargv\n", 2, "hiertag: the following arguments are required: cmd"),
+        ("argv\ttree\t--levels\t2\t--bogus\n", 1, "hiertag: unrecognized arguments: --bogus"),
+    ],
+)
+def test_malformed_manifest_argv_names_the_manifest_line(
+    tmp_path, monkeypatch, capsys, rows, line, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.manifest").write_text(rows, encoding="utf-8")
+    assert main(["--manifest", "bad.manifest"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad.manifest: line {line}: argv: {message}\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["bad.manifest"]
 
 
 def test_undecodable_manifest_error_names_the_file(tmp_path, capsys):

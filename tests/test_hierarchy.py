@@ -116,6 +116,15 @@ def test_binary_tree_small_levels():
     assert two.edges == frozenset({("1", "2"), ("1", "3")})
 
 
+def test_binary_tree_rejects_levels_above_the_bound():
+    # the check runs before the 2**levels - 1 names are built
+    for levels in (21, 40):
+        with pytest.raises(ValueError, match=f"levels is too large: {levels} > 20"):
+            binary_tree(levels)
+    with pytest.raises(ValueError, match="levels must be >= 1"):
+        binary_tree(0)
+
+
 def test_depths_on_binary_tree():
     depth = binary_tree(3).depths()
     assert depth["1"] == 0
@@ -172,6 +181,9 @@ def test_rewire_rejects_bad_fraction_and_order():
         rewire(h, 1.5, "random", random.Random(0))
     with pytest.raises(ValueError, match="order"):
         rewire(h, 0.5, "bottom-up", random.Random(0))
+    # the plan checks the tree and the order first, then rewire checks the fraction
+    with pytest.raises(ValueError, match="unknown rewiring order"):
+        rewire(h, 1.5, "bottom-up", random.Random(0))
 
 
 def test_text_form_is_sorted_and_stable():

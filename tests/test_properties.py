@@ -13,8 +13,9 @@ built cell by cell from `rewire` and the descendant-set NMI. Hierarchy files
 round-trip, every traversal of a random DAG equals a brute-force reference
 built from its edges, a forest built from its parent array equals the same
 forest built from its edges, Schmitz's extractor equals a per-pair
-reference with its transitive filter on dicts of sets, and every extractor
-commutes with renaming the tags.
+reference with its transitive filter on dicts of sets, algorithms a and b
+equal references written from their module docstrings on dicts keyed by tag
+name, and every extractor commutes with renaming the tags.
 """
 from __future__ import annotations
 
@@ -39,15 +40,20 @@ from hiertag.baselines import (
     extract_schmitz,
 )
 from hiertag.corpus import build_cooccurrence, corpus_from_object_lists
-from hiertag.extract_a import extract_a
-from hiertag.extract_b import centrality_rank, extract_b, prune_network
+from hiertag.extract_a import AlgoAParams, extract_a, select_parents, surviving_in_links
+from hiertag.extract_b import (
+    CENTRALITY_ITERATIONS,
+    AlgoBParams,
+    centrality_rank,
+    extract_b,
+    prune_network,
+)
 from hiertag.hierarchy import (
     REWIRING_ORDERS,
     CycleError,
     Hierarchy,
     binary_tree,
     descendant_table,
-    forest_parents,
     hierarchy_to_text,
     load_hierarchy,
     rewire,
@@ -65,7 +71,7 @@ from hiertag.metrics import (
     partition_nmi,
 )
 from hiertag.seeds import derive_seed
-from hiertag.stats import z_from_counts, z_scores
+from hiertag.stats import in_link_entropy, z_from_counts, z_scores
 
 TAGS = [f"t{k}" for k in range(12)]
 
@@ -323,7 +329,10 @@ def test_forest_nmi_equals_descendant_set_nmi_exactly(pair):
     # a forest's parent list gives the same bitsets as its Hierarchy
     for h, below in zip(pair, (below_e, below_r)):
         if h.is_forest():
-            assert _parent_list_below(forest_parents(h), bits) == below
+            parent = [-1] * len(tags)
+            for p, c in h.edges:
+                parent[tags.index(c)] = tags.index(p)
+            assert _parent_list_below(parent, bits) == below
 
 
 @relaxed
@@ -620,6 +629,200 @@ def test_schmitz_equals_the_per_pair_reference(objects, t_subsume, min_cooccurre
     network = _network(objects)
     params = SchmitzParams(t_subsume, min_cooccurrence)
     assert extract_schmitz(network, params) == _schmitz_reference(network, params)
+
+
+def _name_counts(objects):
+    """Q, then Q_i and Q_ij keyed by tag name, and each name's id: its rank
+    in order of first appearance, which is how the corpus numbers tags."""
+    freq, co = Counter(), {}
+    for obj in objects:
+        tags = set(obj)
+        freq.update(tags)
+        for a in tags:
+            row = co.setdefault(a, Counter())
+            row.update(tags - {a})
+    ids = {t: k for k, t in enumerate(dict.fromkeys(t for obj in objects for t in obj))}
+    return len(objects), freq, {t: co[t] for t in ids}, ids
+
+
+def _extract_a_reference(objects, omega):
+    """Algorithm a from the `extract_a` module docstring, on dicts keyed by
+    tag name: the parent each tag picks before the forest is joined, and the
+    joined tree.
+
+    The z-score of the link j -> i is z_from_counts(Q, Q_i, Q_j, Q_ij), the
+    receiving tag first. Ties: a tag's parents by descending z then
+    ascending id; the global root by in-link entropy, then in-link weight,
+    then the smaller id; partners by descending Q_ij then ascending id;
+    cleared roots by descending entropy then ascending id."""
+    q, freq, co, ids = _name_counts(objects)
+    # tag i's surviving in-links j -> i, with their z-scores
+    strong = {
+        i: {
+            j: z_from_counts(q, freq[i], freq[j], w)
+            for j, w in co[i].items()
+            if w >= omega * freq[i]
+        }
+        for i in ids
+    }
+    parent = {}
+    for i in ids:
+        for j in sorted(strong[i], key=lambda j: (-strong[i][j], ids[j])):
+            if i not in strong[j]:  # two tags that keep each other are siblings
+                parent[i] = j
+                break
+
+    def chain_top(t):
+        while t in parent:
+            t = parent[t]
+        return t
+
+    local = parent.copy()
+    component = {t: chain_top(t) for t in ids}
+    roots = [t for t in ids if t not in parent]
+    if len(roots) == 1:
+        return local, Hierarchy(ids, [(p, c) for c, p in parent.items()])
+    weights = {r: [co[r][j] for j in sorted(strong[r], key=ids.get)] for r in roots}
+    entropy = {r: in_link_entropy(weights[r]) for r in roots}
+    top = max(roots, key=lambda r: (entropy[r], sum(weights[r]), -ids[r]))
+
+    def heaviest(r):
+        return sorted(co[r], key=lambda j: (-co[r][j], ids[j]))
+
+    suggested = {}
+    for r in roots:
+        if r != top:
+            outside = [j for j in heaviest(r) if component[j] != r]
+            suggested[r] = outside[0] if outside else top
+    # a walk root -> component of its suggestion that comes back to a root
+    # it passed is a circular chain: every root on the walk is cleared
+    cleared = []
+    for start in sorted(suggested, key=ids.get):
+        walk, t = [], start
+        while t in suggested and t not in walk:
+            walk.append(t)
+            t = component[suggested[t]]
+        if t in walk:
+            for r in walk:
+                del suggested[r]
+            cleared += walk
+    parent.update(suggested)
+
+    def below(t, r):
+        while t is not None and t != r:
+            t = parent.get(t)
+        return t == r
+
+    for r in sorted(cleared, key=lambda r: (-entropy[r], ids[r])):
+        parent[r] = next((j for j in heaviest(r) if not below(j, r)), top)
+    return local, Hierarchy(ids, [(p, c) for c, p in parent.items()])
+
+
+def _extract_b_reference(objects, z_threshold, force_single_root):
+    """Algorithm b from the `extract_b` module docstring, on dicts keyed by
+    tag name.
+
+    z(r, t) is z_from_counts(Q, Q_r, Q_t, Q_rt); pruning scores a pair with
+    the smaller id first. Eigenvector centrality runs as
+    `stats.eigenvector_centrality` documents it: from the strengths, each
+    round sums a tag's row in ascending partner id, left to right, and
+    divides by numpy's sum of the vector. A candidate t of tag i scores
+    z(i, t) plus, when the link i -> t qualifies and i has descendants, the
+    sum of z(d, t) over descendants d whose link d -> t qualifies. That sum
+    runs over the descendants in ascending id, left to right, and is added
+    to z(i, t) last. Ties: the higher (score, Q_it, -id) wins; rank ties by
+    frequency, then the smaller id ranks higher."""
+    q, freq, co, ids = _name_counts(objects)
+
+    def z(r, t):
+        return z_from_counts(q, freq[r], freq[t], co[r][t])
+
+    def kept(i, j):
+        lo, hi = sorted((i, j), key=ids.get)
+        return co[i][j] >= 0.5 * freq[i] or co[i][j] >= 0.5 * freq[j] or z(lo, hi) > z_threshold
+
+    pruned = {i: sorted((j for j in co[i] if kept(i, j)), key=ids.get) for i in ids}
+    if any(pruned.values()):
+        x = {i: float(sum(co[i][j] for j in pruned[i])) for i in ids}
+        total = float(np.sum(list(x.values())))
+        x = {i: v / total for i, v in x.items()}
+        for _ in range(CENTRALITY_ITERATIONS):
+            row_sums = {}
+            for i in ids:
+                acc = 0.0
+                for j in pruned[i]:
+                    acc += co[i][j] * x[j]
+                row_sums[i] = acc
+            total = float(np.sum(list(row_sums.values())))
+            x = {i: v / total for i, v in row_sums.items()}
+    else:
+        x = {i: 1.0 / len(ids) for i in ids}
+    order = sorted(ids, key=lambda t: (x[t], freq[t], -ids[t]))
+    rank = {t: k for k, t in enumerate(order)}
+
+    def qualifies(r, t):  # the link r -> t on its own: majority on r's side only
+        return t in pruned[r] and (z(r, t) > z_threshold or co[r][t] >= 0.5 * freq[r])
+
+    parent, below = {}, {t: set() for t in ids}
+    for i in order:
+        scores = {}
+        for t in pruned[i]:
+            if rank[t] > rank[i]:
+                scores[t] = z(i, t)
+                if qualifies(i, t) and below[i]:
+                    gained = 0.0
+                    for d in sorted(below[i], key=ids.get):
+                        if qualifies(d, t):
+                            gained += z(d, t)
+                    scores[t] += gained
+        if scores:
+            best = max(scores, key=lambda t: (scores[t], co[i][t], -ids[t]))
+            parent[i] = best
+            below[best] |= below[i] | {i}
+    roots = [t for t in ids if t not in parent]
+    if force_single_root and len(roots) > 1:
+        top = max(roots, key=rank.get)
+        parent.update((r, top) for r in roots if r != top)
+    return Hierarchy(ids, [(p, c) for c, p in parent.items()])
+
+
+@relaxed
+@given(corpora, st.sampled_from([0.2, 0.4, 0.7, 1.0]))
+# equal z: t2's in-links from t0 and t1 both score 0, and t0, the smaller id, wins
+@example([["t0", "t2", "t1"], ["t0", "t1"]], 0.7)
+# the sibling rule: t2 and t1 keep each other, so neither parents the other
+@example([["t2", "t1"]], 0.4)
+# equal weights: three siblings, so three local roots with equal entropy and
+# in-link weight; t0 becomes the global root, and t1 and t2 each pick t0 from
+# two partners of equal count
+@example([["t0", "t1", "t2"]], 0.4)
+# a circular component chain: every link is kept both ways, so each tag is a
+# local root; t1 has the highest entropy, t3 and t0 pick each other and are
+# cleared, then t0 re-attaches under t3 and t3 under t1
+@example([["t3", "t0"], ["t1", "t0"], ["t2", "t4", "t1"]], 0.4)
+def test_extract_a_equals_the_name_keyed_reference(objects, omega):
+    network = _network(objects)
+    local, expected = _extract_a_reference(objects, omega)
+    # the local parents first: a wrong pick there can leave a cycle that the
+    # joining step would walk forever
+    names = network.names
+    picked = select_parents(surviving_in_links(network, omega))
+    assert {names[i]: names[p] for i, p in enumerate(picked) if p is not None} == local
+    got = extract_a(network, AlgoAParams(omega))
+    assert hierarchy_to_text(got) == hierarchy_to_text(expected)
+
+
+@relaxed
+@given(corpora, st.sampled_from([-1.0, 0.0, 1.0, 2.0, 10.0]), st.booleans())
+# equal score and equal weight: the smaller id wins
+@example([["t0", "t1", "t2"]], -1.0, False)
+# force_single_root: two roots with equal centrality and frequency; t0 ranks
+# higher, so t1 goes under it
+@example([["t0"], ["t1"]], -1.0, True)
+def test_extract_b_equals_the_name_keyed_reference(objects, z_threshold, force_single_root):
+    got = extract_b(_network(objects), AlgoBParams(z_threshold, force_single_root))
+    expected = _extract_b_reference(objects, z_threshold, force_single_root)
+    assert hierarchy_to_text(got) == hierarchy_to_text(expected)
 
 
 EXTRACTORS = {

@@ -4,6 +4,11 @@ The corpora are generated from `binary_tree(7)` (127 tags): 20k objects,
 half of each object's tags from random walks, seed 1. Heymann's synthetic root is stripped before scoring.
 Schmitz runs at its 0.8 default and at 0.4 and 0.2: at the default it finds
 no links on the linear-depth corpus and 4 on the power-law one.
+
+The DAG scorecard does the same against a DAG: `binary_tree(10)` (1023
+tags) with 200 extra links, 100k objects. Every extractor outputs a forest,
+and no forest can hold both parents of a tag, so even the DAG's own spanning
+tree, every one of whose links is exact, scores an NMI well below 1.
 """
 from __future__ import annotations
 
@@ -24,6 +29,7 @@ from hiertag import (
     strip_synthetic_root,
 )
 from hiertag.benchmark import parse_profile
+from test_cli import _tree_dag
 
 EXTRACTORS = {
     "a": extract_a,
@@ -71,3 +77,30 @@ def test_scorecard(profile):
         h = extract(network)
         scores[name] = (h.n_edges, f"{link_ratios(exact, h).exact:.10g}", f"{nmi(exact, h):.10g}")
     assert scores == SCORECARD[profile]
+
+
+# extractor -> (edges, r_E, r_A, NMI) against `_tree_dag(10, 200, seed=5)`;
+# "spanning_tree" is `binary_tree(10)` itself, the NMI ceiling of a forest
+# that gets every tree link right
+DAG_SCORECARD = {
+    "a": (1022, "0.7837573386", "0.8395303327", "0.3842954429"),
+    "b": (1022, "0.9706457926", "0.9735812133", "0.62873713"),
+    "heymann": (807, "0.6741682975", "0.6741682975", "0.3491371709"),
+    "schmitz_t0.8": (0, "0", "0", "0"),
+    "schmitz_t0.4": (14, "0.01369863014", "0.01369863014", "0.006761297877"),
+    "schmitz_t0.2": (571, "0.5587084149", "0.5587084149", "0.2753988478"),
+    "spanning_tree": (1022, "1", "1", "0.6612152802"),
+}
+
+
+def test_dag_scorecard():
+    dag = _tree_dag(10, 200, seed=5)
+    assert (dag.n_tags, dag.n_edges) == (1023, 1222)
+    config = BenchmarkConfig(object_count=100_000, p_random_walk=0.5, seed=1)
+    network = build_cooccurrence(generate(dag, config))
+    scores = {}
+    for name, extract in {**EXTRACTORS, "spanning_tree": lambda n: binary_tree(10)}.items():
+        h = extract(network)
+        r = link_ratios(dag, h)
+        scores[name] = (h.n_edges, f"{r.exact:.10g}", f"{r.acceptable:.10g}", f"{nmi(dag, h):.10g}")
+    assert scores == DAG_SCORECARD
