@@ -47,8 +47,8 @@ def cosine_similarities(network: CooccurrenceNetwork) -> np.ndarray:
 
 
 # (source, tag) pairs one block of breadth-first searches holds at once, one
-# bit each: graphs of up to 8,192 tags run as one block, and above that a
-# block's bitsets stay 8 MB each however many tags there are
+# bit each: components of graphs up to 8,192 tags run as one block each, and
+# above that a block's bitsets stay 8 MB each however many tags there are
 CLOSENESS_BLOCK_ENTRIES = 1 << 26
 
 
@@ -57,40 +57,60 @@ def _closeness(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     the sum of their hop distances, 0 for a tag that reaches none.
 
     Bit-parallel breadth-first search from a block of sources at a time: per
-    tag, a Python int has bit s set once source s has reached it. Each hop
-    ORs the frontier bits of a tag's neighbours, and the bits the tag had not
-    seen reach it at this hop. The graph, as CSR row pointers and column
+    tag, a Python int has a bit set for each source that has reached it. Each
+    hop ORs the frontier bits of a tag's neighbours, and the bits the tag had
+    not seen reach it at this hop. The graph, as CSR row pointers and column
     indices, must be symmetric, so that dist(s, v) = dist(v, s) and the hops
-    that reach v from every source sum to v's own total. A block's visited
-    and frontier bitsets hold at most CLOSENESS_BLOCK_ENTRIES bits each.
+    that reach v from every source sum to v's own total. Each connected
+    component runs on its own, in blocks of its tags, since no other source
+    can reach them: a source's bit counts from the first source of its
+    block, so a tag's bitsets are no wider than its component. A block has
+    at most CLOSENESS_BLOCK_ENTRIES // n sources.
     """
     n = len(indptr) - 1
     block = max(1, CLOSENESS_BLOCK_ENTRIES // n)
     indptr, indices = indptr.tolist(), indices.tolist()
     adj = [indices[indptr[v] : indptr[v + 1]] for v in range(n)]
     total, reached = [0] * n, [0] * n
-    for lo in range(0, n, block):
-        seen = [0] * n
-        frontier = {}
-        for s in range(lo, min(lo + block, n)):
-            seen[s] = frontier[s] = 1 << (s - lo)
-        hops = 0
-        while frontier:
-            hops += 1
-            acc = {}
-            get = acc.get
-            for v, bits in frontier.items():
-                for u in adj[v]:
-                    acc[u] = get(u, 0) | bits
-            frontier = {}
-            for u, bits in acc.items():
-                new = bits & ~seen[u]
-                if new:
-                    seen[u] |= new
-                    frontier[u] = new
-                    found = new.bit_count()
-                    total[u] += hops * found
-                    reached[u] += found
+    walked, unseen = [False] * n, [0] * n
+    for root in range(n):
+        if walked[root]:
+            continue
+        # root's component in the order a walk over adj finds it; the loop
+        # also reads the tags it appends
+        component = [root]
+        walked[root] = True
+        for v in component:
+            for u in adj[v]:
+                if not walked[u]:
+                    walked[u] = True
+                    component.append(u)
+        for lo in range(0, len(component), block):
+            frontier = {s: 1 << i for i, s in enumerate(component[lo : lo + block])}
+            # unseen[v]: the block's sources that have not reached v yet; a
+            # source has reached itself
+            every = (1 << len(frontier)) - 1
+            for v in component:
+                unseen[v] = every
+            for s, bit in frontier.items():
+                unseen[s] ^= bit
+            hops = 0
+            while frontier:
+                hops += 1
+                acc = {}
+                get = acc.get
+                for v, bits in frontier.items():
+                    for u in adj[v]:
+                        acc[u] = get(u, 0) | bits
+                frontier = {}
+                for u, bits in acc.items():
+                    new = bits & unseen[u]
+                    if new:
+                        unseen[u] ^= new
+                        frontier[u] = new
+                        found = new.bit_count()
+                        total[u] += hops * found
+                        reached[u] += found
     reached, total = np.array(reached, dtype=np.int64), np.array(total, dtype=np.int64)
     scores = np.zeros(n)
     np.divide(reached, total, out=scores, where=total > 0)
@@ -114,11 +134,13 @@ def extract_heymann(
     if SYNTHETIC_ROOT in network.names:
         raise ValueError(f"corpus uses the reserved tag name {SYNTHETIC_ROOT!r}")
     sims = cosine_similarities(network)
-    theta = params.similarity_threshold
-    rows, cols = network.rows, network.indices
-    similar = sims >= theta
+    similar = sims >= params.similarity_threshold
+    # a tag attaches only through a link at or above the threshold, so the
+    # other stored counts are dropped first: a tag whose earlier partners are
+    # all below it keeps no entry and stays under the synthetic root
+    rows, cols, sims = network.rows[similar], network.indices[similar], sims[similar]
     if params.centrality_kind == "degree-strength":
-        centrality = np.bincount(rows[similar], minlength=n)
+        centrality = np.bincount(rows, minlength=n)
     else:
         kept = network.masked(similar)
         centrality = _closeness(kept.indptr, kept.indices)
@@ -137,10 +159,9 @@ def extract_heymann(
     tag, pos = tag[at_best], pos[at_best]
     starts = np.flatnonzero(np.diff(tag, prepend=-1))
     first_inserted = np.minimum.reduceat(pos, starts)
-    attached = best_sim >= theta
     # the synthetic root is tag n, the parent of every tag left unattached
     parent = np.append(np.full(n, n), -1)
-    parent[tag[starts][attached]] = order[first_inserted[attached]]
+    parent[tag[starts]] = order[first_inserted]
     return Hierarchy.from_parents(network.names + (SYNTHETIC_ROOT,), parent.tolist())
 
 

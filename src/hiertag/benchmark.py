@@ -62,6 +62,9 @@ def parse_walk_length(text: str) -> tuple:
     lo, hi = int(parts[1]), int(parts[2])
     if not 1 <= lo <= hi:
         raise ValueError("walk length bounds must satisfy 1 <= lo <= hi")
+    # every step of a walk is a draw; the bound is fixed:K's
+    if hi > 1000:
+        raise ValueError(f"walk length is too large: {hi} > 1000")
     return ("uniform", lo, hi)
 
 

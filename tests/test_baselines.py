@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hiertag
 from hiertag.baselines import (
     SYNTHETIC_ROOT,
     HeymannParams,
@@ -25,6 +29,23 @@ def _network(objects):
 
 def _nested():
     return _network([["a"]] * 100 + [["a", "b"]] * 50 + [["a", "b", "c"]] * 25)
+
+
+def test_importing_the_package_loads_no_scipy_graph_or_solver_module():
+    # a fresh interpreter, since this one may have loaded them for other
+    # tests; scipy.sparse.csgraph alone adds about 27 ms and 10 MB of RSS
+    src = os.path.dirname(os.path.dirname(hiertag.__file__))
+    code = "import sys, hiertag, hiertag.cli; print(*sys.modules)"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "hiertag.cli" in loaded
+    assert "scipy.sparse.csgraph" not in loaded
+    assert "scipy.sparse.linalg" not in loaded
 
 
 def test_heymann_nested_corpus_gives_rooted_chain():

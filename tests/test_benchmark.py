@@ -61,6 +61,12 @@ def test_parse_walk_length_rejects_bad_input():
         parse_walk_length("uniform:3:1")
     with pytest.raises(ValueError, match="unknown walk-length"):
         parse_walk_length("normal:1:3")
+    # rejected on parsing, before any walk would take its billion steps
+    assert parse_walk_length("uniform:1:1000") == ("uniform", 1, 1000)
+    with pytest.raises(ValueError, match="walk length is too large: 1001 > 1000"):
+        parse_walk_length("uniform:1:1001")
+    with pytest.raises(ValueError, match="walk length is too large: 1000000000 > 1000"):
+        parse_walk_length("uniform:1000000000:1000000000")
 
 
 def test_parse_profile():
@@ -95,6 +101,7 @@ def test_config_validation():
         ({"frequency_profile": ("power-law", -1.0)}, "power-law exponent must be > 0"),
         ({"frequency_profile": ("zipf", 2.0)}, "unknown frequency profile"),
         ({"tags_per_object": ("fixed", 10**9)}, "fixed tag count is too large"),
+        ({"walk_length": ("uniform", 1, 10**9)}, "walk length is too large"),
     ],
 )
 def test_config_rejects_bad_descriptors(descriptors, message):

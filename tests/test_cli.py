@@ -225,6 +225,11 @@ def test_grid_step_bound_is_checked_before_the_grid_is_built():
             "--tags-per-object 'fixed:1000000000': "
             "fixed tag count is too large: 1000000000 > 1000",
         ),
+        (
+            ["generate", "--hierarchy", "exact.tsv", "--objects", "5"]
+            + ["--walk", "uniform:1:1000000000"],
+            "--walk 'uniform:1:1000000000': walk length is too large: 1000000000 > 1000",
+        ),
     ],
 )
 def test_unbounded_sizes_are_rejected_before_allocation(

@@ -14,11 +14,12 @@ round-trip, every traversal of a random DAG equals a brute-force reference
 built from its edges, a forest built from its parent array equals the same
 forest built from its edges, Schmitz's extractor equals a per-pair
 reference with its transitive filter on dicts of sets, algorithms a and b
-equal references written from their module docstrings on dicts keyed by tag
-name, and every extractor commutes with renaming the tags.
+and Heymann's extractor equal references written from their docstrings on
+dicts keyed by tag name, and every extractor commutes with renaming the tags.
 """
 from __future__ import annotations
 
+import math
 import os
 import random
 import tempfile
@@ -33,6 +34,7 @@ from hypothesis import strategies as st
 
 from hiertag import baselines
 from hiertag.baselines import (
+    CENTRALITY_KINDS,
     SYNTHETIC_ROOT,
     HeymannParams,
     SchmitzParams,
@@ -231,6 +233,14 @@ CHAIN_30 = (30, {(i, i + 1) for i in range(29)})
 @example((7, set()), 3)
 # two components and two isolated tags; the block wider than the graph
 @example((9, {(0, 1), (1, 2), (2, 0), (3, 4), (5, 4), (6, 5), (4, 6)}), 12)
+# components whose tag ids interleave: 0, 2 and 1, 3, in blocks of 1 and 3
+@example((4, {(0, 2), (1, 3)}), 1)
+@example((4, {(0, 2), (3, 1)}), 3)
+# a block boundary inside a component: the triangle 3, 4, 5 runs as 3, 4 | 5
+@example((6, {(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)}), 2)
+# a component whose first source lies in an earlier block: an isolated tag,
+# then the path 1-7 in blocks 1, 2, 3 | 4, 5, 6 | 7
+@example((8, {(i, i + 1) for i in range(1, 7)}), 3)
 def test_blocked_closeness_equals_bfs_from_every_tag(graph, block):
     n, pairs = graph
     adj = [set() for _ in range(n)]
@@ -823,6 +833,51 @@ def test_extract_b_equals_the_name_keyed_reference(objects, z_threshold, force_s
     got = extract_b(_network(objects), AlgoBParams(z_threshold, force_single_root))
     expected = _extract_b_reference(objects, z_threshold, force_single_root)
     assert hierarchy_to_text(got) == hierarchy_to_text(expected)
+
+
+def _extract_heymann_reference(objects, theta, kind):
+    """Heymann from the `extract_heymann` docstring, on dicts keyed by tag
+    name.
+
+    The cosine of a pair is Q_ij / sqrt(Q_i * Q_j). A tag's centrality is
+    its degree, or its `_bfs_closeness`, over the links whose cosine is at
+    least theta. Tags are inserted in descending (centrality, Q_i, -id), and
+    each takes its most similar earlier-inserted partner, ties to the one
+    inserted first, or the synthetic root when that partner is below theta
+    or there is none."""
+    _, freq, co, ids = _name_counts(objects)
+    cos = {i: {j: w / math.sqrt(freq[i] * freq[j]) for j, w in co[i].items()} for i in ids}
+    similar = {i: [j for j in cos[i] if cos[i][j] >= theta] for i in ids}
+    if kind == "degree-strength":
+        centrality = {i: len(similar[i]) for i in ids}
+    else:
+        scores = _bfs_closeness([{ids[j] for j in similar[i]} for i in ids])
+        centrality = dict(zip(ids, scores))
+    order = sorted(ids, key=lambda t: (-centrality[t], -freq[t], ids[t]))
+    parent = {}
+    for k, t in enumerate(order):
+        earlier = [p for p in order[:k] if p in cos[t]]
+        # max keeps the first of equal cosines, the one inserted first
+        best = max(earlier, key=cos[t].get, default=None)
+        parent[t] = best if best is not None and cos[t][best] >= theta else SYNTHETIC_ROOT
+    return Hierarchy(list(ids) + [SYNTHETIC_ROOT], [(p, c) for c, p in parent.items()])
+
+
+@relaxed
+@given(corpora, st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+# a similarity tie: t0 is inserted before t1 (Q_i 16 against 4) though its id
+# is larger, and t2's cosine with each is 1 / sqrt(8); t2 goes under t0
+@example([["t2", "t1", "t0"], ["t2", "t0"]] + [["t1"]] * 3 + [["t0"]] * 14, 0.1)
+# t1's only earlier partner, t0, has cosine 1 / sqrt(200), below 0.1
+@example([["t0", "t1"]] + [["t0"]] * 199, 0.1)
+# two tags that always co-occur have cosine exactly 1, which reaches 1.0
+@example([["t0", "t1"]] * 3 + [["t2"]], 1.0)
+def test_extract_heymann_equals_the_name_keyed_reference(objects, theta):
+    network = _network(objects)
+    for kind in CENTRALITY_KINDS:
+        got = extract_heymann(network, HeymannParams(theta, kind))
+        expected = _extract_heymann_reference(objects, theta, kind)
+        assert hierarchy_to_text(got) == hierarchy_to_text(expected)
 
 
 EXTRACTORS = {
