@@ -61,10 +61,15 @@ def _write_files(targets: Sequence[tuple[str, Iterable[str], TextIO]]) -> None:
     beside it, and the temporary files replace their paths only once every
     one is written, so a failure leaves no partial file and any older file
     at a path untouched. Write errors name the path, not its temporary file.
+    A path that exists and is not a regular file fails before any write.
     """
     for path, _, _ in targets:
-        if path != "-" and os.path.isdir(path):
+        if path == "-" or not os.path.exists(path) or os.path.isfile(path):
+            continue
+        if os.path.isdir(path):
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        # os.replace would swap a device node or FIFO for a regular file
+        raise ValueError(f"{path}: not a regular file")
     pending: list[tuple[str, str]] = []
     try:
         for path, chunks, stream in targets:

@@ -35,7 +35,7 @@ class Hierarchy:
     built on each access.
     """
 
-    __slots__ = ("tags", "n_edges", "roots", "_children", "_n_parents", "_order")
+    __slots__ = ("tags", "n_edges", "roots", "_children", "_n_parents", "_order", "_scoring")
 
     def __init__(self, tags: Iterable[str], edges: Iterable[tuple[str, str]]):
         tag_set = set(tags)
@@ -89,6 +89,7 @@ class Hierarchy:
             cyclic = [t for t, k in zip(tags, indeg) if k]
             raise CycleError(f"hierarchy contains a directed cycle through {cyclic[:5]}")
         self._order = order
+        self._scoring = None  # the scoring tables of `metrics`, built on first use
         return self
 
     @property

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .hierarchy import Hierarchy, _rewire_parents, _rewire_plan, descendant_table
@@ -35,20 +36,19 @@ class LinkRatios:
     missing: float
 
 
-def _below(children: list[list[int]], order: list[int], bits: list[int]) -> list[int]:
+def _below(children: list[list[int]], order: list[int]) -> list[int]:
     """Descendant bitsets: per position v, the int whose bit j is set iff
-    position j lies below v. `order` lists every parent before its children
-    and `bits[j]` is ``1 << j``."""
+    position j lies below v. `order` lists every parent before its children."""
     below = [0] * len(children)
     for v in reversed(order):
         acc = 0
         for c in children[v]:
-            acc |= below[c] | bits[c]
+            acc |= below[c] | 1 << c
         below[v] = acc
     return below
 
 
-def _parent_list_below(parent: list[int], bits: list[int]) -> list[int]:
+def _parent_list_below(parent: list[int]) -> list[int]:
     """:func:`_below` of a forest given as a parent list (-1 for a root)."""
     children: list[list[int]] = [[] for _ in parent]
     order: list[int] = []
@@ -56,7 +56,24 @@ def _parent_list_below(parent: list[int], bits: list[int]) -> list[int]:
         (children[p] if p >= 0 else order).append(c)
     for v in order:  # grows while it is read: a breadth-first order
         order.extend(children[v])
-    return _below(children, order, bits)
+    return _below(children, order)
+
+
+def _reference(exact: Hierarchy) -> tuple[list[int], list[int], list[float]]:
+    """The exact side's scoring tables: its descendant bitsets, their bit
+    counts |D_e| and each tag's p_e * ln(p_e) term (0.0 where p_e is 0).
+
+    They are built the first time `exact` is scored and kept on it, since a
+    reference hierarchy is scored against many reconstructions; the other
+    side's bitsets are built per call. Needs at least 2 tags.
+    """
+    if exact._scoring is None:
+        below = _below(exact._children, exact._order)
+        de = [e.bit_count() for e in below]
+        scale = len(de) - 1
+        terms = [e / scale * math.log(e / scale) if e else 0.0 for e in de]
+        exact._scoring = (below, de, terms)
+    return exact._scoring
 
 
 def link_ratios(exact: Hierarchy, recon: Hierarchy) -> LinkRatios:
@@ -73,22 +90,23 @@ def link_ratios(exact: Hierarchy, recon: Hierarchy) -> LinkRatios:
     n = exact.n_tags
     if n < 2:
         raise ValueError("link ratios need at least 2 tags")
-    below = _below(exact._children, exact._order, [1 << i for i in range(n)])
+    below = _reference(exact)[0]
     m_r = recon.n_edges
     norm = max(n - 1, m_r)
-    n_acceptable = n_inverted = n_unrelated = 0
-    for u, vs in enumerate(recon._children):
+    n_exact = n_acceptable = n_inverted = n_unrelated = 0
+    for u, (vs, cs) in enumerate(zip(recon._children, exact._children)):
         for v in vs:
             if below[u] >> v & 1:
                 n_acceptable += 1
+                # an exact link is a path too; `cs` is u's sorted exact children
+                i = bisect_left(cs, v)
+                if i < len(cs) and cs[i] == v:
+                    n_exact += 1
             elif below[v] >> u & 1:
                 n_inverted += 1
             else:
                 n_unrelated += 1
     n_missing = (n - 1 - m_r) if m_r < n - 1 else 0
-    n_exact = sum(
-        len(set(e).intersection(r)) for e, r in zip(exact._children, recon._children) if e and r
-    )
     return LinkRatios(
         n_exact / norm,
         n_acceptable / norm,
@@ -98,32 +116,30 @@ def link_ratios(exact: Hierarchy, recon: Hierarchy) -> LinkRatios:
     )
 
 
-def _nmi_from_counts(de: list[int], dr: list[int], both: list[int]) -> float:
-    """The NMI formula over per-tag descendant counts, in tag order."""
+def _nmi_from_bits(
+    reference: tuple[list[int], list[int], list[float]], below_r: list[int]
+) -> float:
+    """The NMI formula over the exact side's `_reference` tables and the
+    other side's descendant bitsets, in tag order.
+
+    A tag with no descendants on the other side adds only its p_e * ln(p_e)
+    term, so its overlap count and logs are skipped; every float addition
+    runs in the order of the formula written out per tag.
+    """
+    below_e, de, terms = reference
     num = den = 0.0
     scale = len(de) - 1
-    for e, r, er in zip(de, dr, both):
-        pe = e / scale
-        pr = r / scale
-        per = er / scale
-        if per > 0.0:
-            num += per * math.log(per / (pe * pr))
-        if pe > 0.0:
-            den += pe * math.log(pe)
-        if pr > 0.0:
+    for e_bits, e, term, r_bits in zip(below_e, de, terms, below_r):
+        den += term
+        if r_bits:
+            pr = r_bits.bit_count() / scale
+            per = (e_bits & r_bits).bit_count() / scale
+            if per > 0.0:
+                num += per * math.log(per / (e / scale * pr))
             den += pr * math.log(pr)
     if den == 0.0:
         return 0.0
     return max(-2.0 * num / den, 0.0)
-
-
-def _nmi_from_bits(below_e: list[int], de: list[int], below_r: list[int]) -> float:
-    """:func:`_nmi_from_counts` over descendant bitsets, with |D_e| as `de`."""
-    return _nmi_from_counts(
-        de,
-        [r.bit_count() for r in below_r],
-        [(e & r).bit_count() for e, r in zip(below_e, below_r)],
-    )
 
 
 def nmi(exact: Hierarchy, recon: Hierarchy) -> float:
@@ -148,10 +164,7 @@ def nmi(exact: Hierarchy, recon: Hierarchy) -> float:
         raise ValueError("undefined NMI: both hierarchies are edgeless")
     if exact == recon:
         return 1.0
-    bits = [1 << i for i in range(n)]
-    below_e = _below(exact._children, exact._order, bits)
-    below_r = _below(recon._children, recon._order, bits)
-    return _nmi_from_bits(below_e, [e.bit_count() for e in below_e], below_r)
+    return _nmi_from_bits(_reference(exact), _below(recon._children, recon._order))
 
 
 def partition_nmi(exact: Hierarchy, recon: Hierarchy) -> float:
@@ -236,8 +249,8 @@ def decay_curve(
     Each cell equals ``nmi(exact, rewire(exact, f, order, rng))`` with the
     cell's stream, computed without building a rewired hierarchy: the
     rewiring kernel works on the tree's parent list, each cell takes the
-    descendant bitsets of its rewired list, and the exact side's bitsets and
-    the link order are prepared once per curve.
+    descendant bitsets of its rewired list, the link order is prepared once
+    per curve and the exact side's scoring tables are kept on `exact`.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -247,9 +260,7 @@ def decay_curve(
     parent, links = _rewire_plan(exact, order)
     if len(parent) < 2:
         raise ValueError("NMI needs at least 2 tags")
-    bits = [1 << i for i in range(len(parent))]
-    below_e = _below(exact._children, exact._order, bits)
-    de = [e.bit_count() for e in below_e]
+    reference = _reference(exact)
     means = []
     for fi, f in enumerate(fs):
         total = 0.0  # a plain loop: the builtin sum is compensated from 3.12 on
@@ -259,7 +270,7 @@ def decay_curve(
             if rewired == parent:
                 total += 1.0
             else:
-                total += _nmi_from_bits(below_e, de, _parent_list_below(rewired, bits))
+                total += _nmi_from_bits(reference, _parent_list_below(rewired))
         means.append(total / runs)
     return DecayCurve(fs, tuple(_isotonic_non_increasing(means)), runs)
 

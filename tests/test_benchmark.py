@@ -14,6 +14,7 @@ from scipy import stats
 from hiertag.benchmark import (
     CHUNK_OBJECTS,
     BenchmarkConfig,
+    _profile_table,
     frequency_profile,
     generate,
     iter_object_tags,
@@ -270,9 +271,18 @@ STAR = (
 )
 
 
+# every weight but rank 1's underflows to 0.0: one run of equal bounds
+# below the heavy tag and one above it
+POWER_LAW_2000 = (
+    binary_tree(5),
+    BenchmarkConfig(CHUNK_OBJECTS + 5, 0.5, frequency_profile=("power-law", 2000.0), seed=3),
+)
+
+
 @settings(deadline=None)
 @given(generator_hierarchies(), generator_configs())
 @example(*STAR)
+@example(*POWER_LAW_2000)
 def test_generator_draws_what_the_public_randrange_loop_draws(h, config):
     assert list(iter_object_tags(h, config)) == _reference_objects(h, config)
 
@@ -287,6 +297,35 @@ def test_generate_interns_what_iter_object_tags_names(h, config):
     want = corpus_from_object_lists(iter_object_tags(h, config))
     assert got.names == want.names
     assert got == want
+
+
+@st.composite
+def cumulative_weights(draw):
+    """Cumulative profile weights. Zero weights make runs of equal bounds, a
+    list of one is a single tag, and one weight is at least 1, as in every
+    profile (rank 1's power-law weight, the deepest level's linear-depth one)."""
+    weights = draw(
+        st.lists(st.just(0.0) | st.sampled_from([1.0, 2.0]) | st.floats(0.0, 1e6), max_size=40)
+    )
+    weights.insert(draw(st.integers(0, len(weights))), draw(st.floats(1.0, 1e6)))
+    return list(accumulate(weights))
+
+
+@settings(deadline=None)
+@given(cumulative_weights(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+@example([1.0], [])
+@example([0.0, 0.0, 1.0, 1.0, 1.0], [0.5])
+def test_profile_table_draws_what_bisecting_every_bound_draws(cum, fractions):
+    # the draws `random() * total`, every bound and both of its float
+    # neighbours, and the ends of [0, total]
+    head, total, scale, start = _profile_table(cum)
+    xs = {0.0, math.nextafter(total, 0.0), total, *(f * total for f in fractions)}
+    for y in cum:
+        xs.update((math.nextafter(y, -math.inf), y, math.nextafter(y, math.inf)))
+    for x in sorted(x for x in xs if 0.0 <= x <= total):
+        b = int(x * scale)
+        got = bisect_right(head, x, start[b], start[b + 1])
+        assert got == min(bisect_right(cum, x), len(cum) - 1)
 
 
 def test_linear_depth_profile_weights():

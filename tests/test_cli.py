@@ -5,6 +5,7 @@ import hashlib
 import os
 import random
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -374,6 +375,24 @@ def test_a_directory_target_fails_before_either_file_is_replaced(tmp_path, capsy
         assert path.read_text(encoding="utf-8") == f"older {path.name}\n"
     assert sorted(os.listdir(tmp_path)) == ["d", "e.manifest", "e.tsv"]
     assert os.listdir(target[directory]) == []
+
+
+@pytest.mark.parametrize("fifo", ["--out", "--manifest-out"])
+def test_a_fifo_target_fails_before_anything_is_written(tmp_path, capsys, fifo):
+    # os.replace would swap the FIFO (or a device node such as /dev/null)
+    # for a regular file holding the output
+    paths = {"--out": tmp_path / "e.tsv", "--manifest-out": tmp_path / "e.manifest"}
+    for path in paths.values():
+        path.write_text(f"older {path.name}\n", encoding="utf-8")
+    target = {**paths, fifo: tmp_path / "f"}
+    os.mkfifo(target[fifo])
+    argv = ["tree", "--levels", "3", "--out", str(target["--out"])]
+    assert main(argv + ["--manifest-out", str(target["--manifest-out"])]) == 1
+    assert capsys.readouterr().err == f"error: {target[fifo]}: not a regular file\n"
+    assert stat.S_ISFIFO(os.stat(target[fifo]).st_mode)
+    for path in paths.values():
+        assert path.read_text(encoding="utf-8") == f"older {path.name}\n"
+    assert sorted(os.listdir(tmp_path)) == ["e.manifest", "e.tsv", "f"]
 
 
 def test_sigterm_during_generate_leaves_no_temporary_file(tmp_path):

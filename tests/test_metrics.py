@@ -152,6 +152,30 @@ def test_decay_curve_means_come_from_seeded_cells():
     assert decay_curve(h, order="leaf-first", runs=runs, grid=grid, seed=11) == curve
 
 
+def test_scoring_one_exact_hierarchy_repeatedly_equals_scoring_fresh_copies():
+    # the exact side keeps its scoring tables once scored; no order of
+    # scoring, curve first or last, may change what any call returns
+    exact = binary_tree(6)
+    recons = [rewire(exact, f, "random", random.Random(k)) for k, f in enumerate((0.1, 0.5, 1.0))]
+    recons += [Hierarchy(exact.tags, sorted(exact.edges)[::3]), Hierarchy(exact.tags, ())]
+
+    def fresh():
+        return Hierarchy(exact.tags, exact.edges)
+
+    want = [(link_ratios(fresh(), r), nmi(fresh(), r)) for r in recons]
+    want_curve = decay_curve(fresh(), runs=2, seed=3)
+    for curve_first in (True, False):
+        for step in (1, -1):
+            kept = fresh()
+            if curve_first:
+                assert decay_curve(kept, runs=2, seed=3) == want_curve
+            got = [(link_ratios(kept, r), nmi(kept, r)) for r in recons[::step]]
+            assert got == want[::step]
+            if not curve_first:
+                assert decay_curve(kept, runs=2, seed=3) == want_curve
+            assert kept == fresh() and hash(kept) == hash(fresh())
+
+
 def test_fully_rewired_tree_loses_similarity():
     h = binary_tree(10)
     rewired = rewire(h, 1.0, "random", random.Random(123))
