@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .corpus import CooccurrenceNetwork
+from .corpus import CooccurrenceNetwork, expand_runs
 from .hierarchy import Hierarchy
 
 SYNTHETIC_ROOT = "*root*"
@@ -223,16 +222,20 @@ def extract_schmitz(
     subsumes = (
         (w >= params.min_cooccurrence) & (w / freq[cols] >= t_sub) & (w / freq[rows] < t_sub)
     )
-    cand = sparse.csr_matrix((w[subsumes], (rows[subsumes], cols[subsumes])), shape=(n, n))
-    linked = cand > 0
-    # a candidate x -> y is transitive when candidates x -> z and z -> y exist
-    direct = cand.multiply(linked > linked @ linked).tocoo()
+    xs, ys, ws = rows[subsumes], cols[subsumes], w[subsumes]
+    # a candidate x -> y is transitive when candidates x -> z and z -> y
+    # exist. The candidates keep the CSR order, parents ascending, so z's
+    # run starts at start[z]; each candidate x -> z is joined with that run
+    start = np.searchsorted(xs, np.arange(n + 1))
+    runs = start[ys + 1] - start[ys]
+    two_hop = np.repeat(xs, runs) * n + ys[expand_runs(start[ys], runs)]
+    direct = ~np.isin(xs * n + ys, two_hop)
 
     # per child, the parent and count of its strongest direct candidate: the
     # largest count wins, ties go to the smaller parent id; a stored count is
     # at least 1, so any candidate beats no parent yet, (0, -(-1))
     parent, count = [-1] * n, [0] * n
-    for x, y, w_xy in zip(direct.row.tolist(), direct.col.tolist(), direct.data.tolist()):
+    for x, y, w_xy in zip(xs[direct].tolist(), ys[direct].tolist(), ws[direct].tolist()):
         if (w_xy, -x) > (count[y], -parent[y]):
             parent[y], count[y] = x, w_xy
     return Hierarchy.from_parents(network.names, parent)

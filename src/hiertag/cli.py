@@ -60,8 +60,10 @@ def _write_files(targets: Sequence[tuple[str, Iterable[str], TextIO]]) -> None:
     "-" writes to `stream`. Each named file's chunks go to a temporary file
     beside it, and the temporary files replace their paths only once every
     one is written, so a failure leaves no partial file and any older file
-    at a path untouched. Write errors name the path, not its temporary file.
-    A path that exists and is not a regular file fails before any write.
+    at a path untouched. A symbolic link stays: the file it resolves to is
+    the one replaced, from a temporary file beside that file. Write errors
+    name the path, not its temporary file. A path that exists and is not a
+    regular file fails before any write.
     """
     for path, _, _ in targets:
         if path == "-" or not os.path.exists(path) or os.path.isfile(path):
@@ -70,25 +72,27 @@ def _write_files(targets: Sequence[tuple[str, Iterable[str], TextIO]]) -> None:
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         # os.replace would swap a device node or FIFO for a regular file
         raise ValueError(f"{path}: not a regular file")
-    pending: list[tuple[str, str]] = []
+    pending: list[tuple[str, str, str]] = []
     try:
         for path, chunks, stream in targets:
             if path == "-":
                 stream.writelines(chunks)
                 continue
-            tmp = f"{path}.{os.getpid()}.tmp"
-            pending.append((tmp, path))
+            # the temporary file shares the resolved file's filesystem
+            real = os.path.realpath(path)
+            tmp = f"{real}.{os.getpid()}.tmp"
+            pending.append((tmp, real, path))
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
         # a SIGTERM that arrives now waits until every path is replaced
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
         try:
-            for tmp, path in pending:
-                os.replace(tmp, path)
+            for tmp, real, path in pending:
+                os.replace(tmp, real)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     except BaseException as exc:
-        for tmp, _ in pending:
+        for tmp, _, _ in pending:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
         if isinstance(exc, OSError) and path != "-":
@@ -386,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     if manifest is None:
         manifest = f"{args.out}.manifest" if args.out != "-" else "-"
     try:
-        if "-" not in (args.out, manifest) and os.path.abspath(manifest) == os.path.abspath(args.out):
+        if "-" not in (args.out, manifest) and os.path.realpath(manifest) == os.path.realpath(args.out):
             raise ValueError(f"--manifest-out {manifest!r} names the --out file")
         chunks, rows = args.handler(args)
         manifest_lines = _manifest_lines(args, raw_argv, rows, started)

@@ -11,8 +11,8 @@ carries tag i), held as CSR arrays. Every way in (a file, object lists, the
 generator) goes through one array core that takes objects a block at a
 time: it interns a block's tags in one pass, then sorts and deduplicates
 the tag ids of all its objects in one array sort. The co-occurrence network
-is one symmetric CSR matrix of integer counts, computed as the off-diagonal
-part of X^T X.
+is one symmetric CSR matrix of integer counts, counted from the pairs of
+tags each object carries.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .textio import TextFormatError, record_blocks, record_lines
 
@@ -218,21 +217,29 @@ class CooccurrenceNetwork:
         )
 
 
+def expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions `starts[k]`, ..., `starts[k] + lengths[k] - 1` of every
+    run k, back to back."""
+    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return offsets + np.arange(len(offsets))
+
+
 def build_cooccurrence(corpus: TagCorpus) -> CooccurrenceNetwork:
-    """Count Q_ij for every tag pair as the off-diagonal of X^T X."""
-    n = corpus.n_tags
-    x = sparse.csr_matrix(
-        (np.ones(len(corpus.tags), dtype=np.int64), corpus.tags, corpus.indptr),
-        shape=(corpus.n_objects, n),
+    """Count Q_ij for every tag pair from the pairs each object carries."""
+    n, tags = corpus.n_tags, corpus.tags
+    nxt = np.arange(1, len(tags) + 1)
+    # entry p pairs with the entries after it in its object; an object's tag
+    # ids ascend, so each of its pairs comes once, as i < j
+    after = np.repeat(corpus.indptr[1:], np.diff(corpus.indptr)) - nxt
+    pairs, counts = np.unique(
+        np.repeat(tags, after) * n + tags[expand_runs(nxt, after)], return_counts=True
     )
-    counts = (x.T @ x).tocsr()
-    counts.sort_indices()
-    full = CooccurrenceNetwork(
-        corpus.names,
-        corpus.n_objects,
-        corpus.freq,
-        counts.indptr.astype(np.int64),
-        counts.indices.astype(np.int64),
-        counts.data,
+    # each pair is stored in both of its rows, at i * n + j and j * n + i;
+    # sorting the keys of both copies orders every row by ascending partner
+    keys = np.concatenate([pairs, pairs % n * n + pairs // n])
+    order = np.argsort(keys)
+    keys = keys[order]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return CooccurrenceNetwork(
+        corpus.names, corpus.n_objects, corpus.freq, indptr, keys % n, np.tile(counts, 2)[order]
     )
-    return full.masked(full.indices != full.rows)

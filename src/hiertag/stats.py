@@ -11,7 +11,7 @@ pairs (a tag on zero or on all objects) have sigma = 0 and score 0 by
 convention.
 
 `z_scores` evaluates the same formula over arrays, e.g. over all stored
-counts of a co-occurrence network's CSR matrix at once. It is bit-identical
+counts of a co-occurrence network's CSR arrays at once. It is bit-identical
 to `z_from_counts` while every product Q_i * Q_j is below 2**53 (any corpus
 of fewer than 9.4e7 objects): the product is then exact in int64 and in
 float64, and every following step is the same IEEE operation in the same
@@ -28,7 +28,6 @@ from operator import add
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-from scipy import sparse
 
 if TYPE_CHECKING:
     from .corpus import CooccurrenceNetwork
@@ -93,11 +92,11 @@ def eigenvector_centrality(
     """Power iteration on the weighted co-occurrence adjacency.
 
     Starts from the strength vector (sum of incident weights), multiplies by
-    the network's CSR count matrix (as float64, summing each row in
-    ascending column order) and renormalizes by the plain sum, for exactly
-    `iterations` rounds. An all-zero weight matrix yields the uniform vector
-    1/N; tags isolated from the component carrying the dominant eigenvalue
-    converge to 0.
+    the network's CSR counts (as float64, adding each row's products in
+    stored order, ascending column, from 0.0) and renormalizes by the plain
+    sum, for exactly `iterations` rounds. An all-zero weight matrix yields
+    the uniform vector 1/N; tags isolated from the component carrying the
+    dominant eigenvalue converge to 0.
     """
     n = network.n_tags
     if n == 0:
@@ -106,12 +105,12 @@ def eigenvector_centrality(
         raise ValueError("iterations must be >= 0")
     if not len(network.weights):
         return CentralityVector(np.full(n, 1.0 / n), 0)
-    mat = sparse.csr_matrix(
-        (network.weights.astype(np.float64), network.indices, network.indptr), shape=(n, n)
-    )
-    x = np.asarray(mat.sum(axis=1)).ravel()
+    rows, cols, w = network.rows, network.indices, network.weights.astype(np.float64)
+    x = np.bincount(rows, weights=w, minlength=n)
     x /= x.sum()
     for _ in range(iterations):
-        x = mat @ x
+        # bincount adds in array order, so each row from 0.0 in stored order;
+        # np.add.reduceat would add a long row pairwise
+        x = np.bincount(rows, weights=w * x[cols], minlength=n)
         x /= x.sum()
     return CentralityVector(x, iterations)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -31,21 +32,45 @@ def _nested():
     return _network([["a"]] * 100 + [["a", "b"]] * 50 + [["a", "b", "c"]] * 25)
 
 
-def test_importing_the_package_loads_no_scipy_graph_or_solver_module():
-    # a fresh interpreter, since this one may have loaded them for other
-    # tests; scipy.sparse.csgraph alone adds about 27 ms and 10 MB of RSS
+# a fresh interpreter in which `import scipy` fails runs every stage through
+# `main`, and reports each exit status and any scipy module that got loaded
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from hiertag.cli import main
+runs = [
+    ["tree", "--levels", "5", "--out", "exact.tsv"],
+    ["generate", "--hierarchy", "exact.tsv", "--objects", "2000", "--seed", "1", "--out", "corpus.tsv"],
+    ["extract", "corpus.tsv", "--algorithm", "a", "--out", "a.tsv"],
+    ["extract", "corpus.tsv", "--algorithm", "b", "--out", "b.tsv"],
+    ["extract", "corpus.tsv", "--algorithm", "heymann", "--out", "heymann.tsv"],
+    ["extract", "corpus.tsv", "--algorithm", "heymann", "--centrality", "closeness", "--out", "closeness.tsv"],
+    ["extract", "corpus.tsv", "--algorithm", "schmitz", "--t-subsume", "0.2", "--out", "schmitz.tsv"],
+    ["evaluate", "exact.tsv", "b.tsv", "--lmi", "--curve-runs", "2", "--out", "report.tsv"],
+    ["curve", "exact.tsv", "--runs", "2", "--out", "curve.tsv"],
+]
+codes = [main(argv) for argv in runs]
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None]
+print(json.dumps([codes, loaded]))
+"""
+
+
+def test_the_package_runs_every_stage_without_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy serves the tests alone
     src = os.path.dirname(os.path.dirname(hiertag.__file__))
-    code = "import sys, hiertag, hiertag.cli; print(*sys.modules)"
-    loaded = subprocess.run(
-        [sys.executable, "-c", code],
+    out = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY],
+        cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
-    ).stdout.split()
-    assert "hiertag.cli" in loaded
-    assert "scipy.sparse.csgraph" not in loaded
-    assert "scipy.sparse.linalg" not in loaded
+    ).stdout
+    codes, loaded = json.loads(out)
+    assert codes == [0] * 9
+    assert loaded == []
+    assert (tmp_path / "schmitz.tsv").read_text(encoding="utf-8")
+    assert (tmp_path / "report.tsv.manifest").exists()
 
 
 def test_heymann_nested_corpus_gives_rooted_chain():

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import contextlib
 import errno
 import hashlib
+import io
 import os
 import random
 import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hiertag
+from hiertag.baselines import CENTRALITY_KINDS
 from hiertag.cli import _grid_from_step, main
 from hiertag.hierarchy import Hierarchy, binary_tree, hierarchy_to_text, load_hierarchy
 
@@ -395,6 +401,28 @@ def test_a_fifo_target_fails_before_anything_is_written(tmp_path, capsys, fifo):
     assert sorted(os.listdir(tmp_path)) == ["e.manifest", "e.tsv", "f"]
 
 
+@pytest.mark.parametrize("link", ["--out", "--manifest-out"])
+def test_a_symlinked_target_stays_a_link_to_the_new_file(tmp_path, link):
+    # os.replace onto the link's own path would swap the link for a regular
+    # file and leave the file it names as it was
+    paths = {"--out": tmp_path / "e.tsv", "--manifest-out": tmp_path / "e.manifest"}
+    real = tmp_path / "elsewhere" / "real.tsv"
+    real.parent.mkdir()
+    real.write_text("old\n", encoding="utf-8")
+    paths[link].symlink_to(real)
+    argv = ["tree", "--levels", "2", "--out", str(paths["--out"])]
+    assert main(argv + ["--manifest-out", str(paths["--manifest-out"])]) == 0
+    assert paths[link].is_symlink() and paths[link].resolve() == real
+    written = real.read_text(encoding="utf-8")
+    if link == "--out":
+        assert written == "1\t2\n1\t3\n"
+    else:
+        assert written.startswith("subcommand\ttree\n")
+    # the temporary file was made beside the file the link names
+    assert os.listdir(real.parent) == ["real.tsv"]
+    assert sorted(os.listdir(tmp_path)) == ["e.manifest", "e.tsv", "elsewhere"]
+
+
 def test_sigterm_during_generate_leaves_no_temporary_file(tmp_path):
     # generate draws its objects as it writes them, so a long run spends its
     # time inside the writer; SIGTERM there must remove the temporary output
@@ -461,6 +489,16 @@ def test_manifest_out_naming_the_output_is_rejected(tmp_path, monkeypatch, capsy
     assert code == 1
     assert capsys.readouterr().err == f"error: --manifest-out {manifest_out!r} names the --out file\n"
     assert os.listdir(tmp_path) == []
+
+
+def test_manifest_out_linked_to_the_output_is_rejected(tmp_path, monkeypatch, capsys):
+    # both temporary files would have the one name beside the linked file
+    monkeypatch.chdir(tmp_path)
+    os.symlink("e.tsv", "link")
+    code = main(["tree", "--levels", "3", "--out", "e.tsv", "--manifest-out", "link"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --manifest-out 'link' names the --out file\n"
+    assert os.listdir(tmp_path) == ["link"]
 
 
 def test_missing_input_file_reports_error(tmp_path, capsys):
@@ -846,3 +884,155 @@ def test_failed_generate_leaves_the_older_output_untouched(tmp_path, monkeypatch
     assert capsys.readouterr().err == "error: object stream failed\n"
     assert out.read_text(encoding="utf-8") == "older\n"
     assert sorted(os.listdir(tmp_path)) == ["g.txt", "tree.tsv", "tree.tsv.manifest"]
+
+
+# the error contract as a property: small inputs, some malformed, and option
+# values drawn from the edge of each type. No drawn value that the program
+# accepts may do real work: counts stay at a few hundred objects, two curve
+# runs and trees under 21 levels, so a fault shows as a wrong outcome, not a
+# hang
+_CONTRACT_FILES = {
+    "tree.tsv": hierarchy_to_text(binary_tree(3)).encode(),
+    "dag.tsv": b"a\tb\na\tc\nb\td\nc\td\n",
+    "cycle.tsv": b"a\tb\nb\tc\nc\ta\n",
+    "corpus.tsv": b"a\n" * 10 + b"a\tb\n" * 5 + b"a\tb\tc\n" * 3,
+    "empty.tsv": b"",
+    "comments.tsv": b"# nothing\n\n# here\n",
+    "one_tag.tsv": b"a\n",
+    "bom.tsv": b"\xef\xbb\xbf" + hierarchy_to_text(binary_tree(2)).encode(),
+    "not_utf8.tsv": b"a\tb\n\xff\tc\n",
+    "empty_field.tsv": b"a\t\tb\n",
+}
+# each list's first value is a valid one, drawn about half the time, so that
+# most runs get past their first check
+_FILES = [*_CONTRACT_FILES, "missing.tsv"]
+_FLOATS = ["0.5", "-1", "0", "0.2", "1", "2", "nan", "inf", "-inf", "1e308", "x", ""]
+_SEEDS = ["0", "-1", "7", "1" + "0" * 30, "x", "1.5"]
+_RUNS = ["2", "-1", "0", "1", "x", "1.5"]
+_STEPS = ["0.25", "-1", "0", "1e-9", "0.3", "0.5", "1", "2", "nan", "inf", "x"]
+_ORDERS = ["random", "top-first", "leaf-first", "sideways"]
+_TAGS_PER_OBJECT = [
+    "poisson:3", "poisson:0", "poisson:nan", "poisson:inf", "poisson:-1", "poisson:1e308",
+    "fixed:0", "fixed:2", "fixed:1000000000", "x",
+]
+_WALKS = ["uniform:1:3", "uniform:0:0", "uniform:3:1", "uniform:1:1000000000", "uniform:nan:1", "x"]
+_PROFILES = [
+    "linear-depth", "power-law:1.2", "power-law:nan", "power-law:-1", "power-law:inf",
+    "power-law:2000", "x",
+]
+
+
+@st.composite
+def _contract_runs(draw):
+    """A subcommand's argv, naming its input files by their `_FILES` names,
+    and whether argparse must reject it: an option value that fails its
+    type or its choices."""
+    usage = False
+
+    def choose(values, valid=None):
+        return draw(st.sampled_from(valid or values[:1]) | st.sampled_from(values))
+
+    def option(name, values, kind=str, choices=None):
+        nonlocal usage
+        value = choose(values, choices)
+        try:
+            kind(value)
+        except ValueError:
+            usage = True
+        usage |= choices is not None and value not in choices
+        return [f"{name}={value}"]
+
+    def maybe(name, values, kind=str, choices=None):
+        return option(name, values, kind, choices) if draw(st.booleans()) else []
+
+    def flag(name):
+        return [name] if draw(st.booleans()) else []
+
+    cmd = draw(st.sampled_from(["generate", "extract", "evaluate", "curve", "randomize", "tree"]))
+    if cmd == "generate":
+        argv = ["--hierarchy", choose(_FILES)]
+        argv += option("--objects", ["300", "-1", "0", "1", "x"], int)
+        argv += maybe("--tags-per-object", _TAGS_PER_OBJECT) + maybe("--p-rw", _FLOATS, float)
+        argv += maybe("--walk", _WALKS) + maybe("--profile", _PROFILES)
+        argv += maybe("--seed", _SEEDS, int)
+    elif cmd == "extract":
+        algorithms = ("a", "b", "heymann", "schmitz")
+        argv = [choose(["corpus.tsv", *_FILES])]
+        argv += option("--algorithm", [*algorithms, "x"], choices=algorithms)
+        argv += flag("--with-ids") + flag("--force-single-root")
+        for name in ("--omega", "--z-threshold", "--similarity-threshold", "--t-subsume"):
+            argv += maybe(name, _FLOATS, float)
+        argv += maybe("--centrality", [*CENTRALITY_KINDS, "x"], choices=CENTRALITY_KINDS)
+        argv += maybe("--min-cooccurrence", ["3", "-1", "0", "1" + "0" * 30, "x"], int)
+    elif cmd == "evaluate":
+        argv = [choose(_FILES), choose(_FILES)] + flag("--lmi")
+        argv += maybe("--curve-order", _ORDERS, choices=_ORDERS[:3])
+        argv += maybe("--curve-runs", _RUNS, int) + maybe("--curve-grid-step", _STEPS, float)
+        argv += maybe("--seed", _SEEDS, int)
+    elif cmd == "curve":
+        argv = [choose(_FILES)] + maybe("--order", _ORDERS, choices=_ORDERS[:3])
+        argv += maybe("--runs", _RUNS, int) + maybe("--grid-step", _STEPS, float)
+        argv += maybe("--seed", _SEEDS, int)
+    elif cmd == "randomize":
+        argv = [choose(_FILES)] + option("--fraction", _FLOATS, float)
+        argv += maybe("--order", _ORDERS, choices=_ORDERS[:3]) + maybe("--seed", _SEEDS, int)
+    else:
+        argv = option("--levels", ["3", "-1", "0", "1", "21", "40", "1" + "0" * 20, "x", "2.5"], int)
+    return [cmd, *argv], usage
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract")
+    for name, content in _CONTRACT_FILES.items():
+        (path / name).write_bytes(content)
+    return path
+
+
+@settings(deadline=None, max_examples=300)
+@given(run=_contract_runs(), older=st.booleans(), unwritable=st.booleans())
+def test_every_run_ends_in_one_of_the_three_contract_outcomes(
+    contract_inputs, run, older, unwritable
+):
+    argv, usage = run
+    argv = [str(contract_inputs / a) if a in _FILES else a for a in argv]
+    # a new directory per example, left for pytest to remove: removing files
+    # one by one is slow on some disks
+    out_dir = tempfile.mkdtemp(dir=contract_inputs)
+    out = os.path.join(out_dir, "out.tsv")
+    targets = {out: "older output\n", f"{out}.manifest": "older manifest\n"}
+    if unwritable:
+        # the output is written before the manifest fails to open
+        argv += ["--manifest-out", os.path.join(out_dir, "missing", "m")]
+        del targets[f"{out}.manifest"]
+    if older:
+        for path, text in targets.items():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv + ["--out", out])
+        except SystemExit as exc:
+            code = exc.code
+    err = stderr.getvalue()
+    assert stdout.getvalue() == ""
+    # exit 2 is argparse's, for usage errors alone
+    assert (code == 2) == usage, err
+    assert code != 0 or not unwritable
+    if code == 0:
+        assert err == ""
+        assert all(os.path.isfile(path) for path in targets)
+    else:
+        assert code in (1, 2), err
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        for path, text in targets.items():
+            if older:
+                with open(path, encoding="utf-8") as fh:
+                    assert fh.read() == text
+            else:
+                assert not os.path.exists(path)
+    # and no temporary file is left behind
+    written = [os.path.basename(p) for p in targets if older or code == 0]
+    assert sorted(os.listdir(out_dir)) == sorted(written)

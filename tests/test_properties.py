@@ -3,8 +3,9 @@ the extractors, Heymann's closeness, rewiring and the quality metrics.
 
 Each kernel property compares an array kernel with the plain per-pair
 definition on random small corpora, where ties and degenerate marginals are
-common. The metric properties check identities that hold for any pair of
-forests over one tag set, that the descendant bitsets behind the NMI equal
+common, and eigenvector centrality with a per-row loop, bit for bit. The
+metric properties check identities that hold for any pair of forests over
+one tag set, that the descendant bitsets behind the NMI equal
 `descendant_table` and the NMI equals the formula over its counts bit for
 bit, for forests and DAGs alike, and that DAG link ratios equal a
 brute-force path search. Rewiring is compared with a subtree-search
@@ -74,7 +75,7 @@ from hiertag.metrics import (
     partition_nmi,
 )
 from hiertag.seeds import derive_seed
-from hiertag.stats import in_link_entropy, z_from_counts, z_scores
+from hiertag.stats import eigenvector_centrality, in_link_entropy, z_from_counts, z_scores
 
 TAGS = [f"t{k}" for k in range(12)]
 
@@ -92,6 +93,10 @@ def _network(objects):
 
 @relaxed
 @given(corpora)
+# one-tag objects only: no pair to count
+@example([["t0"], ["t1"], ["t0"]])
+# one object carrying every tag: every pair once
+@example([TAGS])
 def test_csr_counts_equal_brute_force_pair_counts(objects):
     corpus = corpus_from_object_lists(objects)
     network = build_cooccurrence(corpus)
@@ -110,6 +115,42 @@ def test_csr_counts_equal_brute_force_pair_counts(objects):
     assert {(i, j) for i, nbrs in enumerate(network.adj) for j in nbrs} == {
         (j, i) for i, nbrs in enumerate(network.adj) for j in nbrs
     }
+
+
+def _centrality_by_rows(network, iterations):
+    """Power iteration with each row's products added left to right, from
+    0.0, in stored order, and each round divided by its numpy sum."""
+    n = network.n_tags
+    ptr, cols = network.indptr.tolist(), network.indices.tolist()
+    ws = [float(w) for w in network.weights.tolist()]
+    if not ws:
+        return [1.0 / n] * n
+
+    def rows_times(x):
+        y = []
+        for i in range(n):
+            acc = 0.0
+            for k in range(ptr[i], ptr[i + 1]):
+                acc += ws[k] * x[cols[k]]
+            y.append(acc)
+        total = float(np.sum(y))
+        return [v / total for v in y]
+
+    x = rows_times([1.0] * n)
+    for _ in range(iterations):
+        x = rows_times(x)
+    return x
+
+
+@relaxed
+@given(corpora, st.sampled_from([-1.0, 1.0, 3.0]))
+# t3 co-occurs with no tag, so its row is empty and its score is 0
+@example([["t0", "t1"], ["t0", "t2"], ["t1", "t2"], ["t0"], ["t3"]], 1.0)
+def test_centrality_equals_a_per_row_loop_bit_for_bit(objects, z_threshold):
+    network = _network(objects)
+    for net in (network, prune_network(network, z_threshold)):
+        got = eigenvector_centrality(net, CENTRALITY_ITERATIONS)
+        assert got.scores.tolist() == _centrality_by_rows(net, CENTRALITY_ITERATIONS)
 
 
 @st.composite
@@ -705,6 +746,15 @@ def _schmitz_reference(network, params):
 @given(corpora, st.sampled_from([0.2, 0.5, 0.8]), st.sampled_from([0, 3]))
 # t -> a -> b, and t -> b is a transitive candidate that would win b's tie
 @example([["t", "a", "b"], ["t", "a"], ["t", "a"]] + [["t"]] * 5, 0.5, 0)
+# x -> y beside two chains, through z1 and z2, so its two-hop key comes
+# twice; x's id is below z1's and z2's, so without the filter x would win
+# y's tie; u -> v is a direct candidate that stays
+@example(
+    [["y", "x", "z1", "z2"]] + [["z1", "x"]] * 2 + [["z2", "x"]] * 2 + [["x"]] * 6
+    + [["v", "u"]] + [["u"]] * 3,
+    0.5,
+    0,
+)
 def test_schmitz_equals_the_per_pair_reference(objects, t_subsume, min_cooccurrence):
     network = _network(objects)
     params = SchmitzParams(t_subsume, min_cooccurrence)
