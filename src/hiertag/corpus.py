@@ -12,7 +12,7 @@ generator) goes through one array core that takes objects a block at a
 time: it interns a block's tags in one pass, then sorts and deduplicates
 the tag ids of all its objects in one array sort. The co-occurrence network
 is one symmetric CSR matrix of integer counts, counted from the pairs of
-tags each object carries.
+tags each object carries, a block of about PAIR_BLOCK pairs at a time.
 """
 from __future__ import annotations
 
@@ -28,6 +28,8 @@ from .textio import TextFormatError, record_blocks, record_lines
 
 # objects per block of object lists
 BLOCK_OBJECTS = 1 << 12
+# tag pairs counted at once by build_cooccurrence
+PAIR_BLOCK = 1 << 21
 
 
 class CorpusFormatError(TextFormatError):
@@ -221,19 +223,43 @@ def expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The positions `starts[k]`, ..., `starts[k] + lengths[k] - 1` of every
     run k, back to back."""
     offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    return offsets + np.arange(len(offsets))
+    offsets += np.arange(len(offsets))
+    return offsets
+
+
+def _add_counts(
+    keys: np.ndarray, counts: np.ndarray, more_keys: np.ndarray, more_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Add `more_counts` into `counts` (in place) by key, both key arrays
+    ascending and distinct; a key not yet in `keys` is inserted in order."""
+    at = np.searchsorted(keys, more_keys)
+    seen = at < len(keys)
+    seen[seen] = keys[at[seen]] == more_keys[seen]
+    counts[at[seen]] += more_counts[seen]
+    new = ~seen
+    return np.insert(keys, at[new], more_keys[new]), np.insert(counts, at[new], more_counts[new])
 
 
 def build_cooccurrence(corpus: TagCorpus) -> CooccurrenceNetwork:
     """Count Q_ij for every tag pair from the pairs each object carries."""
-    n, tags = corpus.n_tags, corpus.tags
-    nxt = np.arange(1, len(tags) + 1)
-    # entry p pairs with the entries after it in its object; an object's tag
-    # ids ascend, so each of its pairs comes once, as i < j
-    after = np.repeat(corpus.indptr[1:], np.diff(corpus.indptr)) - nxt
-    pairs, counts = np.unique(
-        np.repeat(tags, after) * n + tags[expand_runs(nxt, after)], return_counts=True
-    )
+    n, tags, indptr = corpus.n_tags, corpus.tags, corpus.indptr
+    # the objects go in blocks of about PAIR_BLOCK pairs, so a corpus of long
+    # objects never holds all its pair keys i * n + j at once
+    sizes = np.diff(indptr)
+    ends = np.cumsum(sizes * (sizes - 1) // 2)
+    cuts = np.searchsorted(ends, np.arange(PAIR_BLOCK, ends[-1] if len(ends) else 0, PAIR_BLOCK))
+    pairs = None
+    for a, b in zip([0, *cuts], [*cuts, len(sizes)]):
+        # entry p pairs with the entries after it in its object; an object's
+        # tag ids ascend, so each of its pairs comes once, as i < j
+        nxt = np.arange(indptr[a] + 1, indptr[b] + 1)
+        after = np.repeat(indptr[a + 1 : b + 1], sizes[a:b]) - nxt
+        keys = np.repeat(tags[indptr[a] : indptr[b]] * n, after)
+        keys += tags[expand_runs(nxt, after)]
+        keys, c = np.unique(keys, return_counts=True)
+        if pairs is not None:
+            keys, c = _add_counts(pairs, counts, keys, c)
+        pairs, counts = keys, c
     # each pair is stored in both of its rows, at i * n + j and j * n + i;
     # sorting the keys of both copies orders every row by ascending partner
     keys = np.concatenate([pairs, pairs % n * n + pairs // n])

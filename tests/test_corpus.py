@@ -4,10 +4,12 @@ import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from hiertag import corpus as corpus_module
 from hiertag.corpus import (
     CorpusFormatError,
     build_cooccurrence,
@@ -155,6 +157,29 @@ def test_shard_counts_merge_to_single_pass():
         brute_force_pair_counts(ids[ptr[o] : ptr[o + 1]] for o in range(100, corpus.n_objects))
     )
     assert whole == merged
+
+
+def test_long_objects_are_counted_in_bounded_pair_blocks():
+    rng = random.Random(17)
+    tags = [f"t{k}" for k in range(120)]
+    objects = [rng.sample(tags, rng.randint(40, 120)) for _ in range(60)]
+    corpus = corpus_from_object_lists(objects)
+    whole = build_cooccurrence(corpus)
+    block, longest = 5000, 120 * 119 // 2
+    with mock.patch.object(corpus_module, "PAIR_BLOCK", block), mock.patch.object(
+        np, "unique", wraps=np.unique
+    ) as unique:
+        blocked = build_cooccurrence(corpus)
+    # every block holds at most PAIR_BLOCK pairs plus one object's
+    held = [len(call.args[0]) for call in unique.call_args_list]
+    assert len(held) > 10 and max(held) <= block + longest
+    for name in ("indptr", "indices", "weights"):
+        a, b = getattr(whole, name), getattr(blocked, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    rows, cols, ws = blocked.rows.tolist(), blocked.indices.tolist(), blocked.weights.tolist()
+    ptr, ids = corpus.indptr.tolist(), corpus.tags.tolist()
+    expected = brute_force_pair_counts(ids[ptr[o] : ptr[o + 1]] for o in range(corpus.n_objects))
+    assert {(i, j): w for i, j, w in zip(rows, cols, ws) if i < j} == expected
 
 
 def test_threads_do_not_change_the_network():

@@ -35,6 +35,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hiertag import baselines
+from hiertag import corpus as corpus_module
 from hiertag.baselines import (
     CENTRALITY_KINDS,
     SYNTHETIC_ROOT,
@@ -92,14 +93,17 @@ def _network(objects):
 
 
 @relaxed
-@given(corpora)
+@given(corpora, st.sampled_from([1, 3, 10, corpus_module.PAIR_BLOCK]))
 # one-tag objects only: no pair to count
-@example([["t0"], ["t1"], ["t0"]])
+@example([["t0"], ["t1"], ["t0"]], corpus_module.PAIR_BLOCK)
 # one object carrying every tag: every pair once
-@example([TAGS])
-def test_csr_counts_equal_brute_force_pair_counts(objects):
+@example([TAGS], corpus_module.PAIR_BLOCK)
+# long objects, each with more pairs than a block, between shorter ones
+@example([TAGS, ["t0", "t5"], TAGS[3:], TAGS, ["t1"], TAGS[::2]], 20)
+def test_csr_counts_equal_brute_force_pair_counts(objects, block):
     corpus = corpus_from_object_lists(objects)
-    network = build_cooccurrence(corpus)
+    with patch.object(corpus_module, "PAIR_BLOCK", block):
+        network = build_cooccurrence(corpus)
     expected = Counter()
     ptr, ids = corpus.indptr.tolist(), corpus.tags.tolist()
     for o in range(corpus.n_objects):
