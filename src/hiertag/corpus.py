@@ -198,11 +198,6 @@ class CooccurrenceNetwork:
             MappingProxyType(dict(zip(cols[a:b], ws[a:b]))) for a, b in zip(ptr, ptr[1:])
         )
 
-    def weight(self, i: int, j: int) -> int:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        k = lo + np.searchsorted(self.indices[lo:hi], j)
-        return int(self.weights[k]) if k < hi and self.indices[k] == j else 0
-
     def masked(self, keep: np.ndarray) -> "CooccurrenceNetwork":
         """Same tags and marginals, only the stored counts where the symmetric
         mask `keep` is set (e.g. after pruning)."""

@@ -63,18 +63,15 @@ def select_parents(strong_in: list[dict[int, float]]) -> list[int | None]:
 
 
 def _component_roots(parent: list[int]) -> list[int]:
-    comp = [-1] * len(parent)
-    for i in range(len(parent)):
-        path = []
-        t = i
-        while comp[t] < 0 and parent[t] >= 0:
-            path.append(t)
-            t = parent[t]
-        root = comp[t] if comp[t] >= 0 else t
-        for p in path:
-            comp[p] = root
-        comp[i] = root
-    return comp
+    """Each tag's local root, by pointer doubling. The forest has no cycle: a
+    local parent j of i keeps w >= omega * Q_i in i's row and fails
+    w < omega * Q_j in its own, so Q_j > Q_i along every parent link."""
+    up = np.array(parent, dtype=np.int64)
+    up[up < 0] = np.flatnonzero(up < 0)
+    doubled = up[up]
+    while (doubled != up).any():
+        up, doubled = doubled, doubled[doubled]
+    return up.tolist()
 
 
 def extract_a(network: CooccurrenceNetwork, params: AlgoAParams = AlgoAParams()) -> Hierarchy:
@@ -89,12 +86,17 @@ def extract_a(network: CooccurrenceNetwork, params: AlgoAParams = AlgoAParams())
     roots = [i for i in range(n) if parent[i] < 0]
 
     if len(roots) > 1:
-        entropy = {}
-        in_weight = {}
+        # a root's surviving in-links are its row run's counts at or above the
+        # cut, in the ascending partner order of `strong_in[r]`; most roots
+        # kept none, and their runs go unread
+        entropy, in_weight = dict.fromkeys(roots, 0.0), dict.fromkeys(roots, 0)
+        ptr = network.indptr.tolist()
         for r in roots:
-            ws = [network.weight(r, j) for j in strong_in[r]]
-            entropy[r] = in_link_entropy(ws)
-            in_weight[r] = sum(ws)
+            if strong_in[r]:
+                run = network.weights[ptr[r]:ptr[r + 1]]
+                ws = run[run >= params.omega * network.freq[r]].tolist()
+                entropy[r] = in_link_entropy(ws)
+                in_weight[r] = sum(ws)
         global_root = max(roots, key=lambda r: (entropy[r], in_weight[r], -r))
 
         # each non-global local root proposes its most frequent co-occurring
@@ -120,18 +122,14 @@ def extract_a(network: CooccurrenceNetwork, params: AlgoAParams = AlgoAParams())
         # until a root with no suggestion or a revisit; clear the whole walk
         looped: list[int] = []
         for start in sorted(suggested):
-            if start not in suggested:
-                continue
-            visited: list[int] = []
-            seen: set[int] = set()
+            walk: dict[int, None] = {}
             t = start
-            while t not in seen and t in suggested:
-                seen.add(t)
-                visited.append(t)
+            while t not in walk and t in suggested:
+                walk[t] = None
                 t = comp[suggested[t]]
-            if t in seen:
-                for r in visited:
-                    looped.append(r)
+            if t in walk:
+                looped += walk
+                for r in walk:
                     del suggested[r]
 
         for r, p in suggested.items():
@@ -156,7 +154,6 @@ def extract_a(network: CooccurrenceNetwork, params: AlgoAParams = AlgoAParams())
         mine_rows, mine_w = rows[mine], w[mine]
         by_row = mine_rows * (mine_w.max(initial=0) + 1) - mine_w
         heaviest = cols[mine][np.argsort(by_row, kind="stable")]
-        ptr = network.indptr.tolist()
         partners, end = {}, 0
         for r in sorted(looped):
             start, end = end, end + ptr[r + 1] - ptr[r]

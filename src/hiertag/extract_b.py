@@ -87,9 +87,7 @@ def extract_b_from_pruned(pruned: CooccurrenceNetwork, params: AlgoBParams) -> H
     # a tag's candidates are its partners of higher rank, with z, weight and
     # whether the link qualifies: the tag's row run of the upward entries
     upward = rank[cols] > rank[rows]
-    cand_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[upward], minlength=n), out=cand_ptr[1:])
-    cand_ptr = cand_ptr.tolist()
+    cand_ptr = np.searchsorted(rows[upward], np.arange(n + 1)).tolist()
     cand = list(zip(*(a[upward].tolist() for a in (cols, z, w, qualifies))))
     # the same entry (t, r) read the other way is the link r -> t, scored
     # with r first; only a partner of lower rank can lie below a candidate t,
@@ -127,11 +125,8 @@ def extract_b_from_pruned(pruned: CooccurrenceNetwork, params: AlgoBParams) -> H
         descendants[best].add(i)
 
     if params.force_single_root:
-        roots = [i for i in range(n) if parent[i] < 0]
-        if len(roots) > 1:
-            top = max(roots, key=lambda r: rank[r])
-            for r in roots:
-                if r != top:
-                    parent[r] = top
+        # the most central tag has no partner of higher rank, so it is a root
+        top = order[-1]
+        parent = [top if p < 0 and i != top else p for i, p in enumerate(parent)]
 
     return Hierarchy.from_parents(pruned.names, parent)

@@ -142,6 +142,17 @@ def _nmi_from_bits(
     return max(-2.0 * num / den, 0.0)
 
 
+def _nmi_identical(exact: Hierarchy, recon: Hierarchy) -> bool:
+    """Whether a pair with a defined NMI is identical (scoring exactly 1);
+    raises for different tags, fewer than 2 tags or two edgeless sides."""
+    _check_same_tags(exact, recon)
+    if exact.n_tags < 2:
+        raise ValueError("NMI needs at least 2 tags")
+    if not exact.n_edges and not recon.n_edges:
+        raise ValueError("undefined NMI: both hierarchies are edgeless")
+    return exact == recon
+
+
 def nmi(exact: Hierarchy, recon: Hierarchy) -> float:
     """Normalized mutual information of the two descendant-set structures.
 
@@ -156,13 +167,7 @@ def nmi(exact: Hierarchy, recon: Hierarchy) -> float:
     a pair of edgeless hierarchies has no defined score and raises. The
     counts are bit counts of descendant bitsets, for forests and DAGs alike.
     """
-    _check_same_tags(exact, recon)
-    n = exact.n_tags
-    if n < 2:
-        raise ValueError("NMI needs at least 2 tags")
-    if not exact.n_edges and not recon.n_edges:
-        raise ValueError("undefined NMI: both hierarchies are edgeless")
-    if exact == recon:
+    if _nmi_identical(exact, recon):
         return 1.0
     return _nmi_from_bits(_reference(exact), _below(recon._children, recon._order))
 
@@ -176,17 +181,11 @@ def partition_nmi(exact: Hierarchy, recon: Hierarchy) -> float:
     is an arithmetic cross-check of :func:`nmi` computed from integer
     community counts instead of probabilities.
     """
-    _check_same_tags(exact, recon)
-    n = exact.n_tags
-    if n < 2:
-        raise ValueError("NMI needs at least 2 tags")
-    if not exact.n_edges and not recon.n_edges:
-        raise ValueError("undefined NMI: both hierarchies are edgeless")
-    if exact == recon:
+    if _nmi_identical(exact, recon):
         return 1.0
     communities_e = {t: frozenset(s) for t, s in descendant_table(exact).items()}
     communities_r = {t: frozenset(s) for t, s in descendant_table(recon).items()}
-    total = n - 1
+    total = exact.n_tags - 1
     num = 0.0
     for t in exact.tags:
         n_ij = len(communities_e[t] & communities_r[t])

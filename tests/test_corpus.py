@@ -26,10 +26,16 @@ def brute_force_pair_counts(objects):
     return counts
 
 
+def _count(network, i, j):
+    """Q_ij read off row i's run of the CSR arrays; 0 for a pair not stored."""
+    lo, hi = network.indptr[i], network.indptr[i + 1]
+    run = network.indices[lo:hi].tolist()
+    return int(network.weights[lo + run.index(j)]) if j in run else 0
+
+
 def _weight(network, a, b):
     names = network.names
-    i, j = names.index(a), names.index(b)
-    return network.weight(i, j)
+    return _count(network, names.index(a), names.index(b))
 
 
 def test_load_corpus_counts(tmp_path):
@@ -108,7 +114,7 @@ def test_weight_is_symmetric():
     network = build_cooccurrence(corpus_from_object_lists([["a", "b"], ["b", "c"]]))
     for i in range(network.n_tags):
         for j in range(network.n_tags):
-            assert network.weight(i, j) == network.weight(j, i)
+            assert _count(network, i, j) == _count(network, j, i)
 
 
 def _random_objects(rng, n_tags, n_objects):

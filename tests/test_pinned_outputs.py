@@ -9,6 +9,11 @@ digests were recorded before the extractors handed parent arrays to
 `Hierarchy.from_parents`; at the default threshold Schmitz gives no edges on
 the linear-depth corpus, so they are the pins of its edge path.
 
+The forest-join digests pin algorithm a's join of its local forest and
+algorithm b's `force_single_root` join on a corpus where the join does real
+work (hundreds of cleared roots), recorded before the join read root
+entropies off the CSR row runs and found components by pointer doubling.
+
 The calibration digests pin `rewire` and `decay_curve` bytes, recorded
 before `rewire` moved from a per-link subtree search to a parent array. A
 rewired tree depends on every `random.Random` call `rewire` makes, so any
@@ -41,6 +46,8 @@ import random
 import pytest
 
 from hiertag import (
+    AlgoAParams,
+    AlgoBParams,
     BenchmarkConfig,
     HeymannParams,
     Hierarchy,
@@ -114,6 +121,28 @@ def test_extractor_outputs_match_pinned_digests(corpus):
         for name, fn in EXTRACTORS.items()
     }
     assert got == expected
+
+
+# the 511-tag tree's corpus, 5,000 objects, seed 3: algorithm a's join clears
+# 197 local roots from circular chains at omega 0.4 and 135 at omega 0.2, and
+# algorithm b's forest is joined under its most central tag
+JOIN_CONFIG = BenchmarkConfig(object_count=5_000, p_random_walk=0.5, seed=3)
+JOINS = {
+    "a_omega0.4": lambda n: extract_a(n, AlgoAParams(omega=0.4)),
+    "a_omega0.2": lambda n: extract_a(n, AlgoAParams(omega=0.2)),
+    "b_single_root": lambda n: extract_b(n, AlgoBParams(force_single_root=True)),
+}
+JOIN_DIGESTS = {
+    "a_omega0.4": "c6d64f93ca2d9d661b552bd77311f26a603a1cb5c776c17aade0ee1014cd9529",
+    "a_omega0.2": "73c4035d186fc5d0205180a045fcd69b5e8272ac08a9ab46e782c711317b40fb",
+    "b_single_root": "2f961ab26c38f716514d2cb87e7f3d9b0241055f7937b3433c7b8a828852bc7f",
+}
+
+
+def test_forest_joins_match_pinned_digests():
+    network = build_cooccurrence(generate(binary_tree(9), JOIN_CONFIG))
+    got = {name: _sha256(hierarchy_to_text(fn(network))) for name, fn in JOINS.items()}
+    assert got == JOIN_DIGESTS
 
 
 def _sha256(text):

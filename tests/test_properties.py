@@ -14,6 +14,7 @@ built cell by cell from `rewire` and the descendant-set NMI. Hierarchy files
 round-trip, every traversal of a random DAG equals a brute-force reference
 built from its edges, as do the generator's sampling weights, a forest
 built from its parent array equals the same forest built from its edges,
+algorithm a's pointer-doubling component roots equal a walk up the parents,
 Schmitz's extractor equals a per-pair reference with its transitive filter
 on dicts of sets, algorithms a and b and Heymann's extractor equal
 references written from their docstrings on dicts keyed by tag name, and
@@ -46,7 +47,13 @@ from hiertag.baselines import (
 )
 from hiertag.benchmark import _profile_weights, frequency_profile
 from hiertag.corpus import build_cooccurrence, corpus_from_object_lists
-from hiertag.extract_a import AlgoAParams, extract_a, select_parents, surviving_in_links
+from hiertag.extract_a import (
+    AlgoAParams,
+    _component_roots,
+    extract_a,
+    select_parents,
+    surviving_in_links,
+)
 from hiertag.extract_b import (
     CENTRALITY_ITERATIONS,
     AlgoBParams,
@@ -248,6 +255,42 @@ def test_extract_a_returns_a_single_rooted_tree_over_every_tag(objects):
     tree = extract_a(network)
     assert tree.is_tree()
     assert tree.tags == tuple(sorted(network.names))
+
+
+@st.composite
+def parent_forests(draw, max_tags=40):
+    """A forest's parent list, -1 for a root; tag k of a drawn order hangs
+    under one of the tags before it or is a root, so ids follow no order."""
+    n = draw(st.integers(0, max_tags))
+    order = draw(st.permutations(range(n)))
+    parent = [-1] * n
+    for k in range(1, n):
+        above = draw(st.integers(-1, k - 1))
+        if above >= 0:
+            parent[order[k]] = order[above]
+    return parent
+
+
+def _walk_up_roots(parent):
+    """Reference: each tag's root, by walking up its parents one at a time."""
+    roots = []
+    for t in range(len(parent)):
+        while parent[t] >= 0:
+            t = parent[t]
+        roots.append(t)
+    return roots
+
+
+@relaxed
+@given(parent_forests())
+# a chain of 1,500 tags: 11 doubling rounds
+@example([i + 1 for i in range(1499)] + [-1])
+# a star, every root alone, and no tags at all
+@example([-1] + [0] * 20)
+@example([-1] * 10)
+@example([])
+def test_component_roots_equal_a_walk_up_the_parents(parent):
+    assert _component_roots(parent) == _walk_up_roots(parent)
 
 
 def _bfs_closeness(adj):
