@@ -16,7 +16,7 @@ from .baselines import (
     extract_schmitz,
     strip_synthetic_root,
 )
-from .benchmark import BenchmarkConfig, frequency_profile, generate
+from .benchmark import BenchmarkConfig, generate
 from .corpus import (
     CooccurrenceNetwork,
     CorpusFormatError,
@@ -79,7 +79,6 @@ __all__ = [
     "extract_b",
     "extract_heymann",
     "extract_schmitz",
-    "frequency_profile",
     "generate",
     "hierarchy_to_text",
     "in_link_entropy",

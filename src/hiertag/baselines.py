@@ -74,7 +74,7 @@ def _closeness(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     block = max(1, CLOSENESS_BLOCK_ENTRIES // n)
     indptr, indices = indptr.tolist(), indices.tolist()
     adj = [indices[indptr[v] : indptr[v + 1]] for v in range(n)]
-    total, reached = [0] * n, [0] * n
+    total, scores = [0] * n, [0.0] * n
     # bits[v]: the sources that reached v at the last hop, 0 off the frontier;
     # unseen[v]: the block's sources that have not reached v yet
     walked, bits, unseen = [False] * n, [0] * n, [0] * n
@@ -122,11 +122,8 @@ def _closeness(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
                         total[u] += hops * new.bit_count()
         # every tag of the component reaches the others
         for v in component:
-            reached[v] = len(component) - 1
-    reached, total = np.array(reached, dtype=np.int64), np.array(total, dtype=np.int64)
-    scores = np.zeros(n)
-    np.divide(reached, total, out=scores, where=total > 0)
-    return scores
+            scores[v] = (len(component) - 1) / total[v] if total[v] else 0.0
+    return np.array(scores)
 
 
 def extract_heymann(
@@ -154,8 +151,7 @@ def extract_heymann(
     if params.centrality_kind == "degree-strength":
         centrality = np.bincount(rows, minlength=n)
     else:
-        kept = network.masked(similar)
-        centrality = _closeness(kept.indptr, kept.indices)
+        centrality = _closeness(np.searchsorted(rows, np.arange(n + 1)), cols)
     # descending (centrality, frequency, -id)
     order = np.lexsort((-np.arange(n), network.freq, centrality))[::-1]
     position = np.empty(n, dtype=np.int64)
@@ -231,11 +227,10 @@ def extract_schmitz(
     two_hop = np.repeat(xs, runs) * n + ys[expand_runs(start[ys], runs)]
     direct = ~np.isin(xs * n + ys, two_hop)
 
-    # per child, the parent and count of its strongest direct candidate: the
-    # largest count wins, ties go to the smaller parent id; a stored count is
-    # at least 1, so any candidate beats no parent yet, (0, -(-1))
-    parent, count = [-1] * n, [0] * n
-    for x, y, w_xy in zip(xs[direct].tolist(), ys[direct].tolist(), ws[direct].tolist()):
-        if (w_xy, -x) > (count[y], -parent[y]):
-            parent[y], count[y] = x, w_xy
+    # per child, the parent of its strongest direct candidate: the largest
+    # count wins, ties go to the smaller parent id. Key w * n + (n - 1 - x)
+    # orders a child's candidates by (w, -x), and any key beats -1, no parent
+    best = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(best, ys[direct], ws[direct] * n + (n - 1 - xs[direct]))
+    parent = np.where(best < 0, -1, n - 1 - best % n).tolist()
     return Hierarchy.from_parents(network.names, parent)

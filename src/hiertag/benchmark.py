@@ -106,21 +106,14 @@ class BenchmarkConfig:
             object.__setattr__(self, name, parse(":".join(map(str, getattr(self, name)))))
 
 
-def frequency_profile(
-    h: Hierarchy, kind: tuple, rng: random.Random | None = None
-) -> dict[str, float]:
-    """Per-tag sampling weights (not normalized), keyed in `h.tags` order.
+def _profile_weights(h: Hierarchy, kind: tuple, rng: random.Random | None) -> list[float]:
+    """Per-tag sampling weights (not normalized), by position in `h.tags`.
 
     linear-depth: weight d_max - depth + 1, so roots are heaviest and the
     deepest level has weight 1. power-law: Zipf-like weights rank**-exponent
     assigned to tags by a random permutation, independent of depth (needs
     `rng`).
     """
-    return dict(zip(h.tags, _profile_weights(h, kind, rng)))
-
-
-def _profile_weights(h: Hierarchy, kind: tuple, rng: random.Random | None) -> list[float]:
-    """`frequency_profile`'s weights by position in `h.tags`."""
     if kind[0] == "linear-depth":
         _, depth = h._breadth_first()
         d_max = max(depth)

@@ -145,24 +145,14 @@ def extract_a(network: CooccurrenceNetwork, params: AlgoAParams = AlgoAParams())
                 t = parent[t]
             return False
 
-        # the cleared roots' partners heaviest first, ties by ascending id: one
-        # stable sort by (row, -w) keeps the stored ascending order within a
-        # weight, and leaves one run per root, in ascending root order
-        cleared = np.zeros(n, dtype=bool)
-        cleared[looped] = True
-        mine = cleared[rows]
-        mine_rows, mine_w = rows[mine], w[mine]
-        by_row = mine_rows * (mine_w.max(initial=0) + 1) - mine_w
-        heaviest = cols[mine][np.argsort(by_row, kind="stable")]
-        partners, end = {}, 0
-        for r in sorted(looped):
-            start, end = end, end + ptr[r + 1] - ptr[r]
-            partners[r] = heaviest[start:end]
-
         # cleared roots re-attach in descending entropy order to their
-        # heaviest co-occurring partner not below them; fallback global root.
-        # Most take their first or second partner, so each run is read lazily
+        # heaviest co-occurring partner not below them, ties by ascending id;
+        # fallback global root. A stable sort of the root's own row run by -w
+        # keeps the stored ascending ids within a weight; most roots take
+        # their first or second partner, so the sorted ids are read lazily
         for r in sorted(looped, key=lambda x: (-entropy[x], x)):
-            parent[r] = next((j for j in map(int, partners[r]) if not is_below(j, r)), global_root)
+            run = slice(ptr[r], ptr[r + 1])
+            heaviest = map(int, cols[run][(-w[run]).argsort(kind="stable")])
+            parent[r] = next((j for j in heaviest if not is_below(j, r)), global_root)
 
     return Hierarchy.from_parents(network.names, parent)

@@ -15,7 +15,7 @@ from hiertag.benchmark import (
     CHUNK_OBJECTS,
     BenchmarkConfig,
     _profile_table,
-    frequency_profile,
+    _profile_weights,
     generate,
     iter_object_tags,
     parse_count_distribution,
@@ -25,6 +25,11 @@ from hiertag.benchmark import (
 from hiertag.corpus import corpus_from_object_lists
 from hiertag.hierarchy import Hierarchy, binary_tree
 from hiertag.seeds import derive_seed
+
+
+def _weights_by_name(h, kind, rng=None):
+    """`_profile_weights` keyed by tag name."""
+    return dict(zip(h.tags, _profile_weights(h, kind, rng)))
 
 
 def _chain():
@@ -191,7 +196,7 @@ def test_randbelow_draws_what_randrange_and_randint_draw(seed):
 def _reference_objects(h, config):
     """The generator loop written with the public draws: randint(lo, hi) for
     a walk's length and randrange(len(nb)) for each of its steps."""
-    profile = frequency_profile(
+    profile = _weights_by_name(
         h, config.frequency_profile, rng=random.Random(derive_seed(config.seed, "profile"))
     )
     cum = list(accumulate(profile[t] for t in h.tags))
@@ -330,20 +335,20 @@ def test_profile_table_draws_what_bisecting_every_bound_draws(cum, fractions):
 
 def test_linear_depth_profile_weights():
     # chain depths differ by one per level, so weights run d_max..1 top-down
-    weights = frequency_profile(_chain(), ("linear-depth",))
+    weights = _weights_by_name(_chain(), ("linear-depth",))
     assert weights == {"a": 3.0, "b": 2.0, "c": 1.0}
 
 
 def test_power_law_profile_is_permuted_zipf():
     h = binary_tree(4)
-    weights = frequency_profile(h, ("power-law", 1.2), rng=random.Random(3))
+    weights = _weights_by_name(h, ("power-law", 1.2), rng=random.Random(3))
     expected = sorted(((r + 1) ** -1.2 for r in range(h.n_tags)), reverse=True)
     assert sorted(weights.values(), reverse=True) == pytest.approx(expected)
 
 
 def test_power_law_profile_requires_rng():
     with pytest.raises(ValueError, match="rng"):
-        frequency_profile(_chain(), ("power-law", 2.0))
+        _weights_by_name(_chain(), ("power-law", 2.0))
 
 
 def test_generate_is_deterministic():

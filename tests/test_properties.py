@@ -16,9 +16,10 @@ built from its edges, as do the generator's sampling weights, a forest
 built from its parent array equals the same forest built from its edges,
 algorithm a's pointer-doubling component roots equal a walk up the parents,
 Schmitz's extractor equals a per-pair reference with its transitive filter
-on dicts of sets, algorithms a and b and Heymann's extractor equal
-references written from their docstrings on dicts keyed by tag name, and
-every extractor commutes with renaming the tags.
+on dicts of sets and its parent pick one candidate at a time, algorithms a
+and b and Heymann's extractor equal references written from their
+docstrings on dicts keyed by tag name, and every extractor commutes with
+renaming the tags.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from hiertag.baselines import (
     extract_heymann,
     extract_schmitz,
 )
-from hiertag.benchmark import _profile_weights, frequency_profile
+from hiertag.benchmark import _profile_weights
 from hiertag.corpus import build_cooccurrence, corpus_from_object_lists
 from hiertag.extract_a import (
     AlgoAParams,
@@ -667,7 +668,7 @@ DAG_5 = Hierarchy("abcde", [("a", "b"), ("b", "d"), ("c", "d"), ("b", "e")])
 
 def _profile_by_name(h, kind, rng):
     """Sampling weights keyed by tag name, from `depths()` and a shuffled
-    list of ranks, as `frequency_profile` documents them."""
+    list of ranks, as `_profile_weights` documents them."""
     if kind[0] == "linear-depth":
         depth = h.depths()
         d_max = max(depth.values())
@@ -691,7 +692,7 @@ def _profile_by_name(h, kind, rng):
 @example(DAG_5, ("power-law", 1.2), 5)
 def test_profile_weights_by_position_equal_the_profile_by_name(h, kind, seed):
     expected = _profile_by_name(h, kind, random.Random(seed))
-    assert frequency_profile(h, kind, random.Random(seed)) == expected
+    assert dict(zip(h.tags, _profile_weights(h, kind, random.Random(seed)))) == expected
     assert _profile_weights(h, kind, random.Random(seed)) == [expected[t] for t in h.tags]
 
 
@@ -763,10 +764,11 @@ def test_from_parents_rejects_a_cyclic_parent_array(forest, data):
         Hierarchy.from_parents(names, parent)
 
 
-def _schmitz_reference(network, params):
-    """Schmitz by its definition: per-pair candidate tests, a dict of
-    candidate children and of candidate parents per tag, and a candidate
-    x -> y dropped when some candidate child of x is a candidate parent of y."""
+def _schmitz_direct_candidates(network, params):
+    """Schmitz's candidates by its definition, in stored order: per-pair
+    tests, a dict of candidate children and of candidate parents per tag,
+    and a candidate x -> y dropped when some candidate child of x is a
+    candidate parent of y."""
     freq = network.freq
     rows, cols, ws = network.rows.tolist(), network.indices.tolist(), network.weights.tolist()
     t = params.t_subsume
@@ -779,12 +781,23 @@ def _schmitz_reference(network, params):
     for x, y, _ in candidates:
         children.setdefault(x, set()).add(y)
         parents.setdefault(y, set()).add(x)
-    parent, count = [-1] * network.n_tags, [0] * network.n_tags
+    return [(x, y, w) for x, y, w in candidates if not children[x] & parents[y]]
+
+
+def _strongest_candidates(n_tags, candidates):
+    """Per child, the parent of its strongest candidate, one candidate at a
+    time: the largest count wins, ties go to the smaller parent id; a stored
+    count is at least 1, so any candidate beats no parent yet, (0, -(-1))."""
+    parent, count = [-1] * n_tags, [0] * n_tags
     for x, y, w in candidates:
-        if children[x] & parents[y]:
-            continue
         if (w, -x) > (count[y], -parent[y]):
             parent[y], count[y] = x, w
+    return parent
+
+
+def _schmitz_reference(network, params):
+    """Schmitz by its definition, as a hierarchy over the network's names."""
+    parent = _strongest_candidates(network.n_tags, _schmitz_direct_candidates(network, params))
     names = network.names
     return Hierarchy(names, [(names[p], names[c]) for c, p in enumerate(parent) if p >= 0])
 
@@ -806,6 +819,45 @@ def test_schmitz_equals_the_per_pair_reference(objects, t_subsume, min_cooccurre
     network = _network(objects)
     params = SchmitzParams(t_subsume, min_cooccurrence)
     assert extract_schmitz(network, params) == _schmitz_reference(network, params)
+
+
+# objects over 6 tags, each repeated once or twice, so small counts tie often,
+# then up to 20 one-tag objects per tag: the frequent tags subsume the rarer
+# ones, and at low thresholds a child often keeps several candidates
+tied_corpora = st.tuples(
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(TAGS[:6]), min_size=1, max_size=4), st.sampled_from([1, 2])
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    st.lists(st.integers(0, 20), min_size=6, max_size=6),
+).map(
+    lambda drawn: [obj for obj, times in drawn[0] for _ in range(times)]
+    + [[t] for t, times in zip(TAGS, drawn[1]) for _ in range(times)]
+)
+
+
+@relaxed
+@given(
+    tied_corpora,
+    st.sampled_from([0.05, 0.1, 0.15, 0.2, 0.25, 0.3]),
+    st.sampled_from([0, 1, 2]),
+)
+# c has three direct candidates, d, a and b, each on two of c's six objects
+# and on two of its own twelve; d's id is the smallest, so d wins the tie
+@example([["d", "c"]] * 2 + [["a", "c"], ["b", "c"]] * 2 + [["a"], ["b"], ["d"]] * 10, 0.2, 0)
+# b's candidates c (one shared object) and a (two): the loop meets c first,
+# and a wins on its count although its id is larger
+@example([["c", "b"]] + [["a", "b"]] * 2 + [["a"]] * 20 + [["c"]] * 10, 0.1, 1)
+def test_schmitz_parents_equal_the_per_candidate_loop(objects, t_subsume, min_cooccurrence):
+    network = _network(objects)
+    params = SchmitzParams(t_subsume, min_cooccurrence)
+    parent = _strongest_candidates(network.n_tags, _schmitz_direct_candidates(network, params))
+    names = network.names
+    expected = {names[c]: names[p] for c, p in enumerate(parent) if p >= 0}
+    assert {c: p for p, c in extract_schmitz(network, params).edges} == expected
 
 
 def _name_counts(objects):
