@@ -164,8 +164,9 @@ class CooccurrenceNetwork:
     partners are `indices[indptr[i]:indptr[i + 1]]`, in ascending order, and
     `weights` holds Q_ij at the same positions. Pairs with Q_ij = 0 are not
     stored, and j is a partner of i iff i is a partner of j, so every pair is
-    stored twice. Kernels work on these arrays as a whole; `adj` is a
-    dict-per-tag view built on first use, for inspection.
+    stored twice. A subset from `masked` need not be symmetric, and its
+    `n_pairs` is then not a pair count. Kernels work on these arrays as a
+    whole; `adj` is a dict-per-tag view built on first use, for inspection.
     """
 
     names: tuple[str, ...]
@@ -199,16 +200,16 @@ class CooccurrenceNetwork:
         )
 
     def masked(self, keep: np.ndarray) -> "CooccurrenceNetwork":
-        """Same tags and marginals, only the stored counts where the symmetric
-        mask `keep` is set (e.g. after pruning)."""
+        """Same tags and marginals, only the stored counts where the mask
+        `keep` is set (e.g. after pruning). A mask that keeps (i, j) but not
+        (j, i) gives rows that are no longer symmetric, and `n_pairs` is then
+        not a pair count."""
         # a row's new pointer is the number of kept entries before its old one
-        before = np.zeros(len(keep) + 1, dtype=np.int64)
-        np.cumsum(keep, out=before[1:])
         return CooccurrenceNetwork(
             self.names,
             self.q_total,
             self.freq,
-            before[self.indptr],
+            np.searchsorted(np.flatnonzero(keep), self.indptr),
             self.indices[keep],
             self.weights[keep],
         )

@@ -32,33 +32,40 @@ class AlgoAParams:
             raise ValueError(f"omega must be in (0, 1], got {self.omega}")
 
 
-def surviving_in_links(network: CooccurrenceNetwork, omega: float) -> list[dict[int, float]]:
-    """Per tag i: the in-neighbors j whose link weight is >= omega * Q_i, with z-scores.
+def surviving_in_links(network: CooccurrenceNetwork, omega: float) -> CooccurrenceNetwork:
+    """The network cut to each tag's strong in-links: row i keeps the
+    in-neighbors j, in ascending order and with Q_ij, whose weight is
+    >= omega * Q_i.
 
     Q_i caps every co-occurrence count involving i, so the cut is a fraction
     of the strongest value i's row can hold. A tag may lose all incoming
-    links and become a local root. Each dict lists j in ascending order.
+    links and become a local root. Row i holds only links into i, so the
+    rows need not be symmetric.
     """
     freq = np.asarray(network.freq, dtype=np.int64)
-    rows, cols, w = network.rows, network.indices, network.weights
-    keep = w >= omega * freq[rows]
-    rows, cols, w = rows[keep], cols[keep], w[keep]
-    z = z_scores(network.q_total, freq[rows], freq[cols], w)
-    kept: list[dict[int, float]] = [{} for _ in range(network.n_tags)]
-    for i, j, z_ij in zip(rows.tolist(), cols.tolist(), z.tolist()):
-        kept[i][j] = z_ij
-    return kept
+    return network.masked(network.weights >= omega * freq[network.rows])
 
 
-def select_parents(strong_in: list[dict[int, float]]) -> list[int | None]:
+def select_parents(strong_in: CooccurrenceNetwork) -> list[int | None]:
     """First surviving in-neighbor in descending z-score whose reverse link
     did not survive (sibling rule); z ties broken by ascending tag id."""
-    parent: list[int | None] = [None] * len(strong_in)
-    for i, candidates in enumerate(strong_in):
-        for j, _ in sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0])):
-            if i not in strong_in[j]:
-                parent[i] = j
-                break
+    n = strong_in.n_tags
+    rows, cols = strong_in.rows, strong_in.indices
+    # (i, j) is kept as key i * n + j, ascending in CSR order; j keeping i
+    # too makes them siblings. np.isin would sort both key sets, and its
+    # np.unique imports numpy.ma (about 1 MB held) on first use
+    keys, mirror = rows * n + cols, cols * n + rows
+    open_ = keys.take(np.searchsorted(keys, mirror), mode="clip") != mirror
+    rows, cols = rows[open_], cols[open_]
+    freq = np.asarray(strong_in.freq, dtype=np.int64)
+    z = z_scores(strong_in.q_total, freq[rows], freq[cols], strong_in.weights[open_])
+    # each row's entries by (-z, j); the first one is the row's parent
+    order = np.lexsort((cols, -z, rows))
+    rows, cols = rows[order], cols[order]
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    parent: list[int | None] = [None] * n
+    for i, j in zip(rows[first].tolist(), cols[first].tolist()):
+        parent[i] = j
     return parent
 
 
@@ -86,17 +93,14 @@ def extract_a(network: CooccurrenceNetwork, params: AlgoAParams = AlgoAParams())
     roots = [i for i in range(n) if parent[i] < 0]
 
     if len(roots) > 1:
-        # a root's surviving in-links are its row run's counts at or above the
-        # cut, in the ascending partner order of `strong_in[r]`; most roots
-        # kept none, and their runs go unread
+        # a root's surviving in-links are its kept row run, in ascending
+        # partner order; most roots kept none, and their runs go unread
+        kept = strong_in.indptr.tolist()
         entropy, in_weight = dict.fromkeys(roots, 0.0), dict.fromkeys(roots, 0)
-        ptr = network.indptr.tolist()
         for r in roots:
-            if strong_in[r]:
-                run = network.weights[ptr[r]:ptr[r + 1]]
-                ws = run[run >= params.omega * network.freq[r]].tolist()
-                entropy[r] = in_link_entropy(ws)
-                in_weight[r] = sum(ws)
+            if kept[r] < kept[r + 1]:
+                ws = strong_in.weights[kept[r]:kept[r + 1]].tolist()
+                entropy[r], in_weight[r] = in_link_entropy(ws), sum(ws)
         global_root = max(roots, key=lambda r: (entropy[r], in_weight[r], -r))
 
         # each non-global local root proposes its most frequent co-occurring
@@ -111,12 +115,10 @@ def extract_a(network: CooccurrenceNetwork, params: AlgoAParams = AlgoAParams())
         proposers = np.flatnonzero(np.diff(network.indptr))
         best = np.maximum.reduceat(key, network.indptr[proposers])
         found = best >= 0
-        heaviest_outside = dict(
-            zip(proposers[found].tolist(), (n - 1 - best[found] % n).tolist())
-        )
-        suggested = {
-            r: heaviest_outside.get(r, global_root) for r in roots if r != global_root
-        }
+        outside = np.full(n, global_root)
+        outside[proposers[found]] = n - 1 - best[found] % n
+        outside = outside.tolist()
+        suggested = {r: outside[r] for r in roots if r != global_root}
 
         # circular component chains: follow root -> component(suggested parent)
         # until a root with no suggestion or a revisit; clear the whole walk
@@ -150,6 +152,7 @@ def extract_a(network: CooccurrenceNetwork, params: AlgoAParams = AlgoAParams())
         # fallback global root. A stable sort of the root's own row run by -w
         # keeps the stored ascending ids within a weight; most roots take
         # their first or second partner, so the sorted ids are read lazily
+        ptr = network.indptr.tolist()
         for r in sorted(looped, key=lambda x: (-entropy[x], x)):
             run = slice(ptr[r], ptr[r + 1])
             heaviest = map(int, cols[run][(-w[run]).argsort(kind="stable")])

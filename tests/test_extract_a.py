@@ -35,17 +35,22 @@ def test_single_tag_corpus_has_no_edges():
     assert h.edges == frozenset()
 
 
+def _kept_in_links(strong_in, x):
+    run = slice(strong_in.indptr[x], strong_in.indptr[x + 1])
+    return dict(zip(strong_in.indices[run].tolist(), strong_in.weights[run].tolist()))
+
+
 def test_survivor_cut_keeps_equality_and_drops_below():
-    # Q_x = 5, Q_xy = 2: cut 0.4 * 5 = 2.0, equality survives
+    # Q_x = 5, Q_xy = 2: cut 0.4 * 5 = 2.0, equality survives with Q_xy
     network = _network([["x", "y"]] * 2 + [["x"]] * 3)
     x = network.names.index("x")
     y = network.names.index("y")
-    assert y in surviving_in_links(network, 0.4)[x]
+    assert _kept_in_links(surviving_in_links(network, 0.4), x) == {y: 2}
     # Q_x = 6 pushes the cut to 2.4 and the same link is dropped
     network = _network([["x", "y"]] * 2 + [["x"]] * 4)
     x = network.names.index("x")
     y = network.names.index("y")
-    assert y not in surviving_in_links(network, 0.4)[x]
+    assert y not in _kept_in_links(surviving_in_links(network, 0.4), x)
 
 
 def test_reciprocal_survivors_block_each_other():
