@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import errno
 import os
 import random
@@ -50,7 +51,7 @@ from .hierarchy import (
     load_hierarchy,
     rewire,
 )
-from .metrics import decay_curve, evaluate_hierarchies
+from .metrics import decay_curve, evaluate_hierarchies, lmi
 from .textio import TextFormatError, record_lines
 
 
@@ -231,17 +232,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> _Run:
     if SYNTHETIC_ROOT in recon.tags and SYNTHETIC_ROOT not in exact.tags:
         recon = strip_synthetic_root(recon)
     with _named(f"{args.exact}, {args.recon}"):
-        report = evaluate_hierarchies(
-            exact,
-            recon,
-            with_lmi=args.lmi,
-            curve_order=args.curve_order,
-            curve_runs=args.curve_runs,
-            curve_grid=grid,
-            seed=args.seed,
-        )
-    curve = ("curve_order", "curve_runs", "curve_grid_step") if args.lmi else ()
-    return [report.to_text()], _option_rows(args, "exact", "recon", "lmi", *curve, "seed")
+        # ratios and NMI come first, so a pair they reject draws no curve
+        report = evaluate_hierarchies(exact, recon)
+        if args.lmi:
+            curve = decay_curve(
+                exact, order=args.curve_order, runs=args.curve_runs, grid=grid, seed=args.seed
+            )
+            report = dataclasses.replace(report, lmi=lmi(report.nmi, curve))
+    curve_options = ("curve_order", "curve_runs", "curve_grid_step") if args.lmi else ()
+    return [report.to_text()], _option_rows(args, "exact", "recon", "lmi", *curve_options, "seed")
 
 
 def _cmd_curve(args: argparse.Namespace) -> _Run:
@@ -273,16 +272,6 @@ def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.Argum
     parser.add_argument("--version", action="version", version=f"hiertag {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", default="-", help="output file ('-' for stdout)")
-        p.add_argument(
-            "--manifest-out",
-            default=None,
-            help="manifest file (default: OUT.manifest, or stderr when writing to stdout)",
-        )
-        # accepted and ignored, so manifests of runs that passed it still replay
-        p.add_argument("--threads", help=argparse.SUPPRESS)
-
     p = sub.add_parser("generate", help="generate a benchmark corpus from a hierarchy")
     p.add_argument("--hierarchy", required=True, help="edge-list file of the source hierarchy")
     p.add_argument("--objects", type=int, required=True, help="number of objects to generate")
@@ -299,7 +288,6 @@ def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.Argum
         help="frequency profile: linear-depth or power-law:EXPONENT",
     )
     p.add_argument("--seed", type=int, default=0)
-    common(p)
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("extract", help="extract a hierarchy from an objects file")
@@ -317,7 +305,6 @@ def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.Argum
     p.add_argument("--centrality", choices=CENTRALITY_KINDS, default="degree-strength", help="heymann: insertion order")
     p.add_argument("--t-subsume", type=float, default=0.8, help="schmitz: subsumption probability threshold")
     p.add_argument("--min-cooccurrence", type=int, default=10, help="schmitz: minimal pair count")
-    common(p)
     p.set_defaults(handler=_cmd_extract)
 
     p = sub.add_parser("evaluate", help="score a reconstructed hierarchy against the exact one")
@@ -328,7 +315,6 @@ def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.Argum
     p.add_argument("--curve-runs", type=int, default=10)
     p.add_argument("--curve-grid-step", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
     p.set_defaults(handler=_cmd_evaluate)
 
     p = sub.add_parser("curve", help="rewiring decay curve of a hierarchy")
@@ -337,7 +323,6 @@ def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.Argum
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--grid-step", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
     p.set_defaults(handler=_cmd_curve)
 
     p = sub.add_parser("randomize", help="rewire a fraction of a hierarchy's links")
@@ -345,14 +330,21 @@ def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.Argum
     p.add_argument("--fraction", type=float, required=True)
     p.add_argument("--order", choices=REWIRING_ORDERS, default="random")
     p.add_argument("--seed", type=int, default=0)
-    common(p)
     p.set_defaults(handler=_cmd_randomize)
 
     p = sub.add_parser("tree", help="write a balanced binary tree edge list")
     p.add_argument("--levels", type=int, required=True)
-    common(p)
     p.set_defaults(handler=_cmd_tree)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default="-", help="output file ('-' for stdout)")
+        p.add_argument(
+            "--manifest-out",
+            default=None,
+            help="manifest file (default: OUT.manifest, or stderr when writing to stdout)",
+        )
+        # accepted and ignored, so manifests of runs that passed it still replay
+        p.add_argument("--threads", help=argparse.SUPPRESS)
     return parser
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import errno
 import hashlib
 import io
@@ -20,7 +21,15 @@ from hypothesis import strategies as st
 import hiertag
 from hiertag.baselines import CENTRALITY_KINDS
 from hiertag.cli import _grid_from_step, main
-from hiertag.hierarchy import Hierarchy, binary_tree, hierarchy_to_text, load_hierarchy
+from hiertag.hierarchy import (
+    REWIRING_ORDERS,
+    Hierarchy,
+    binary_tree,
+    hierarchy_to_text,
+    load_hierarchy,
+    rewire,
+)
+from hiertag.metrics import decay_curve, evaluate_hierarchies, lmi
 
 
 def _write_chain(path):
@@ -163,6 +172,25 @@ def test_evaluate_with_lmi(tmp_path):
     assert code == 0
     report = dict(line.split("\t") for line in out.read_text().splitlines())
     assert report["lmi"] == "1"
+
+
+@pytest.mark.parametrize("order", REWIRING_ORDERS)
+def test_evaluate_lmi_equals_the_library_composition(tmp_path, order):
+    # a partly rewired tree scores inside the curve, so its LMI moves with
+    # every curve setting
+    exact = binary_tree(5)
+    recon = rewire(exact, 0.3, "random", random.Random(2))
+    (tmp_path / "exact.tsv").write_text(hierarchy_to_text(exact), encoding="utf-8")
+    (tmp_path / "recon.tsv").write_text(hierarchy_to_text(recon), encoding="utf-8")
+    out = tmp_path / "report.tsv"
+    argv = ["evaluate", str(tmp_path / "exact.tsv"), str(tmp_path / "recon.tsv"), "--lmi"]
+    argv += ["--curve-order", order, "--curve-runs", "3", "--curve-grid-step", "0.1"]
+    assert main([*argv, "--seed", "7", "--out", str(out)]) == 0
+    report = evaluate_hierarchies(exact, recon)
+    curve = decay_curve(exact, order=order, runs=3, grid=tuple(i / 10 for i in range(11)), seed=7)
+    expected = dataclasses.replace(report, lmi=lmi(report.nmi, curve))
+    assert 0.0 < expected.lmi < 1.0
+    assert out.read_text(encoding="utf-8") == expected.to_text()
 
 
 def test_curve_grid_step_controls_point_count(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -214,6 +215,7 @@ def test_report_text_order_and_values():
 
 def test_report_with_lmi():
     h = binary_tree(4)
-    report = evaluate_hierarchies(h, h, with_lmi=True, curve_runs=2)
+    report = evaluate_hierarchies(h, h)
+    report = dataclasses.replace(report, lmi=lmi(report.nmi, decay_curve(h, runs=2)))
     assert report.lmi == 1.0
     assert "lmi\t1" in report.to_text()
