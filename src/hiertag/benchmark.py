@@ -118,18 +118,17 @@ def _profile_weights(h: Hierarchy, kind: tuple, rng: random.Random | None) -> li
         _, depth = h._breadth_first()
         d_max = max(depth)
         return [float(d_max - d + 1) for d in depth]
-    if kind[0] == "power-law":
-        if rng is None:
-            raise ValueError("power-law profile needs a seeded rng for the permutation")
-        exponent = kind[1]
-        order = list(range(h.n_tags))
-        rng.shuffle(order)
-        # the tag at order[r] gets rank r's weight
-        weights = [0.0] * h.n_tags
-        for r, i in enumerate(order):
-            weights[i] = (r + 1) ** -exponent
-        return weights
-    raise ValueError(f"unknown frequency profile kind {kind!r}")
+    # power-law, the only other kind BenchmarkConfig parses
+    if rng is None:
+        raise ValueError("power-law profile needs a seeded rng for the permutation")
+    exponent = kind[1]
+    order = list(range(h.n_tags))
+    rng.shuffle(order)
+    # the tag at order[r] gets rank r's weight
+    weights = [0.0] * h.n_tags
+    for r, i in enumerate(order):
+        weights[i] = (r + 1) ** -exponent
+    return weights
 
 
 def _profile_table(cum: list[float]) -> tuple[list[float], float, float, list[int]]:

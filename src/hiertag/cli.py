@@ -45,7 +45,6 @@ from .extract_a import AlgoAParams, extract_a
 from .extract_b import AlgoBParams, extract_b_from_pruned, prune_network
 from .hierarchy import (
     REWIRING_ORDERS,
-    Hierarchy,
     binary_tree,
     hierarchy_to_text,
     load_hierarchy,
@@ -103,13 +102,6 @@ def _write_files(targets: Sequence[tuple[str, Iterable[str], TextIO]]) -> None:
 
 def _exit_on_sigterm(signum: int, frame: object) -> NoReturn:
     raise SystemExit(128 + signum)
-
-
-def _load_tree(path: str, command: str) -> Hierarchy:
-    h = load_hierarchy(path)
-    if not h.is_tree():
-        raise ValueError(f"{path}: {command} rewires links, so it requires a single-rooted tree")
-    return h
 
 
 class _ReplayParser(argparse.ArgumentParser):
@@ -227,18 +219,19 @@ def _cmd_evaluate(args: argparse.Namespace) -> _Run:
     if args.lmi:
         _check_runs("--curve-runs", args.curve_runs)
         grid = _grid_from_step("--curve-grid-step", args.curve_grid_step)
-    exact = _load_tree(args.exact, "evaluate --lmi") if args.lmi else load_hierarchy(args.exact)
+    exact = load_hierarchy(args.exact)
     recon = load_hierarchy(args.recon)
     if SYNTHETIC_ROOT in recon.tags and SYNTHETIC_ROOT not in exact.tags:
         recon = strip_synthetic_root(recon)
+    # ratios and NMI come first, so a pair they reject draws no curve
     with _named(f"{args.exact}, {args.recon}"):
-        # ratios and NMI come first, so a pair they reject draws no curve
         report = evaluate_hierarchies(exact, recon)
-        if args.lmi:
+    if args.lmi:
+        with _named(args.exact):
             curve = decay_curve(
                 exact, order=args.curve_order, runs=args.curve_runs, grid=grid, seed=args.seed
             )
-            report = dataclasses.replace(report, lmi=lmi(report.nmi, curve))
+        report = dataclasses.replace(report, lmi=lmi(report.nmi, curve))
     curve_options = ("curve_order", "curve_runs", "curve_grid_step") if args.lmi else ()
     return [report.to_text()], _option_rows(args, "exact", "recon", "lmi", *curve_options, "seed")
 
@@ -246,15 +239,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> _Run:
 def _cmd_curve(args: argparse.Namespace) -> _Run:
     _check_runs("--runs", args.runs)
     grid = _grid_from_step("--grid-step", args.grid_step)
-    h = _load_tree(args.input, "curve")
+    h = load_hierarchy(args.input)
     with _named(args.input):
         curve = decay_curve(h, order=args.order, runs=args.runs, grid=grid, seed=args.seed)
     return [curve.to_text()], _option_rows(args, "input", "order", "runs", "grid_step", "seed")
 
 
 def _cmd_randomize(args: argparse.Namespace) -> _Run:
-    h = _load_tree(args.input, "randomize")
-    rewired = rewire(h, args.fraction, args.order, random.Random(args.seed))
+    h = load_hierarchy(args.input)
+    with _named(args.input):
+        rewired = rewire(h, args.fraction, args.order, random.Random(args.seed))
     return [hierarchy_to_text(rewired)], _option_rows(args, "input", "fraction", "order", "seed")
 
 
@@ -294,17 +288,17 @@ def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.Argum
     p.add_argument("input", help="objects file (one object per line, TAB-separated tags)")
     p.add_argument("--algorithm", required=True, choices=_EXTRACTORS)
     p.add_argument("--with-ids", action="store_true", help="first field of each line is an object id")
-    p.add_argument("--omega", type=float, default=0.4, help="algorithm a: incoming-link threshold factor")
-    p.add_argument("--z-threshold", type=float, default=10.0, help="algorithm b: z-score pruning threshold")
+    p.add_argument("--omega", type=float, default=AlgoAParams.omega, help="algorithm a: incoming-link threshold factor")
+    p.add_argument("--z-threshold", type=float, default=AlgoBParams.z_threshold, help="algorithm b: z-score pruning threshold")
     p.add_argument(
         "--force-single-root",
         action="store_true",
         help="algorithm b: attach secondary roots under the most central root",
     )
-    p.add_argument("--similarity-threshold", type=float, default=0.1, help="heymann: minimal cosine similarity")
-    p.add_argument("--centrality", choices=CENTRALITY_KINDS, default="degree-strength", help="heymann: insertion order")
-    p.add_argument("--t-subsume", type=float, default=0.8, help="schmitz: subsumption probability threshold")
-    p.add_argument("--min-cooccurrence", type=int, default=10, help="schmitz: minimal pair count")
+    p.add_argument("--similarity-threshold", type=float, default=HeymannParams.similarity_threshold, help="heymann: minimal cosine similarity")
+    p.add_argument("--centrality", choices=CENTRALITY_KINDS, default=HeymannParams.centrality_kind, help="heymann: insertion order")
+    p.add_argument("--t-subsume", type=float, default=SchmitzParams.t_subsume, help="schmitz: subsumption probability threshold")
+    p.add_argument("--min-cooccurrence", type=int, default=SchmitzParams.min_cooccurrence, help="schmitz: minimal pair count")
     p.set_defaults(handler=_cmd_extract)
 
     p = sub.add_parser("evaluate", help="score a reconstructed hierarchy against the exact one")
@@ -366,22 +360,18 @@ def _manifest_lines(
 
 def main(argv: list[str] | None = None) -> int:
     raw_argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if raw_argv[:1] == ["--manifest"]:
-        if len(raw_argv) != 2:
-            print("error: --manifest takes exactly one manifest file", file=sys.stderr)
-            return 2
-        try:
-            raw_argv, args = _replay_args(raw_argv[1])
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    else:
-        args = build_parser().parse_args(raw_argv)
-    started = time.perf_counter()
-    manifest = args.manifest_out
-    if manifest is None:
-        manifest = f"{args.out}.manifest" if args.out != "-" else "-"
+    if raw_argv[:1] == ["--manifest"] and len(raw_argv) != 2:
+        print("error: --manifest takes exactly one manifest file", file=sys.stderr)
+        return 2
     try:
+        if raw_argv[:1] == ["--manifest"]:
+            raw_argv, args = _replay_args(raw_argv[1])
+        else:
+            args = build_parser().parse_args(raw_argv)
+        started = time.perf_counter()
+        manifest = args.manifest_out
+        if manifest is None:
+            manifest = f"{args.out}.manifest" if args.out != "-" else "-"
         if "-" not in (args.out, manifest) and os.path.realpath(manifest) == os.path.realpath(args.out):
             raise ValueError(f"--manifest-out {manifest!r} names the --out file")
         chunks, rows = args.handler(args)

@@ -133,17 +133,16 @@ def corpus_from_object_lists(object_tags: Iterable[Sequence[str]]) -> TagCorpus:
 
 def load_corpus(path: str, with_ids: bool = False) -> TagCorpus:
     """Read an objects file; errors name the file and, where there is one, the line."""
+    # an empty field interns as the tag ""; the file is only re-read to
+    # number the offending line, so well-formed input is read once
     try:
         corpus = _corpus(_file_blocks(path, with_ids))
+        if "" not in corpus.names:
+            return corpus
     except CorpusFormatError as exc:
         if exc.path is not None:  # a UTF-8 fault, already numbered
             raise
-        corpus = None
-    # an empty field interns as the tag ""; the file is only re-read to
-    # number the offending line, so well-formed input is read once
-    if corpus is None or "" in corpus.names:
-        raise _first_malformed_line(path, with_ids)
-    return corpus
+    raise _first_malformed_line(path, with_ids)
 
 
 def _first_malformed_line(path: str, with_ids: bool) -> CorpusFormatError:

@@ -118,44 +118,40 @@ def extract_a(network: CooccurrenceNetwork, params: AlgoAParams = AlgoAParams())
         outside = np.full(n, global_root)
         outside[proposers[found]] = n - 1 - best[found] % n
         outside = outside.tolist()
-        suggested = {r: outside[r] for r in roots if r != global_root}
+        for r in roots:
+            if r != global_root:
+                parent[r] = outside[r]
 
-        # circular component chains: follow root -> component(suggested parent)
-        # until a root with no suggestion or a revisit; clear the whole walk
+        # circular component chains: follow root -> component(parent) until a
+        # root with no parent or a revisit; clear the whole walk
         looped: list[int] = []
-        for start in sorted(suggested):
+        for start in roots:
             walk: dict[int, None] = {}
             t = start
-            while t not in walk and t in suggested:
+            while t not in walk and parent[t] >= 0:
                 walk[t] = None
-                t = comp[suggested[t]]
+                t = comp[parent[t]]
             if t in walk:
                 looped += walk
                 for r in walk:
-                    del suggested[r]
+                    parent[r] = -1
 
-        for r, p in suggested.items():
-            parent[r] = p
-
-        def is_below(tag: int, root: int) -> bool:
-            # does the ancestor chain of `tag` pass through `root`, in the
-            # partially assembled forest as it stands right now
-            t = tag
-            while t >= 0:
-                if t == root:
-                    return True
-                t = parent[t]
-            return False
+        def top(tag: int) -> int:
+            # the root of `tag`'s tree in the forest as it stands right now
+            while parent[tag] >= 0:
+                tag = parent[tag]
+            return tag
 
         # cleared roots re-attach in descending entropy order to their
-        # heaviest co-occurring partner not below them, ties by ascending id;
-        # fallback global root. A stable sort of the root's own row run by -w
-        # keeps the stored ascending ids within a weight; most roots take
-        # their first or second partner, so the sorted ids are read lazily
+        # heaviest co-occurring partner outside their own tree (a cleared
+        # root is a root when its turn comes), ties by ascending id; fallback
+        # global root. A stable sort of the root's own row run by -w keeps
+        # the stored ascending ids within a weight; most roots take their
+        # first or second partner, so the sorted ids are read lazily
         ptr = network.indptr.tolist()
         for r in sorted(looped, key=lambda x: (-entropy[x], x)):
             run = slice(ptr[r], ptr[r + 1])
             heaviest = map(int, cols[run][(-w[run]).argsort(kind="stable")])
-            parent[r] = next((j for j in heaviest if not is_below(j, r)), global_root)
+            parent[r] = next((j for j in heaviest if top(j) != r), global_root)
 
     return Hierarchy.from_parents(network.names, parent)

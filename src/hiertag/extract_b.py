@@ -24,9 +24,7 @@ import numpy as np
 
 from .corpus import CooccurrenceNetwork
 from .hierarchy import Hierarchy
-from .stats import eigenvector_centrality, z_scores
-
-CENTRALITY_ITERATIONS = 100
+from .stats import CENTRALITY_ITERATIONS, eigenvector_centrality, z_scores
 
 
 @dataclass(frozen=True)

@@ -181,8 +181,8 @@ def partition_nmi(exact: Hierarchy, recon: Hierarchy) -> float:
     """
     if _nmi_identical(exact, recon):
         return 1.0
-    communities_e = {t: frozenset(s) for t, s in descendant_table(exact).items()}
-    communities_r = {t: frozenset(s) for t, s in descendant_table(recon).items()}
+    communities_e = descendant_table(exact)
+    communities_r = descendant_table(recon)
     total = exact.n_tags - 1
     num = 0.0
     for t in exact.tags:
@@ -287,13 +287,12 @@ def lmi(i_er: float, curve: DecayCurve) -> float:
         return 1.0
     if i_er < vs[-1]:
         return 0.0
-    f_star = fs[-1]
     for k in range(len(fs) - 1):
         if i_er >= vs[k + 1]:
             t = (vs[k] - i_er) / (vs[k] - vs[k + 1])
-            f_star = fs[k] + t * (fs[k + 1] - fs[k])
-            break
-    return 1.0 - f_star
+            return 1.0 - (fs[k] + t * (fs[k + 1] - fs[k]))
+    # a NaN score or curve value crosses nowhere, and reads as f* = the last fraction
+    return 1.0 - fs[-1]
 
 
 @dataclass(frozen=True)

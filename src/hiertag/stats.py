@@ -80,6 +80,10 @@ def in_link_entropy(weights: Iterable[float]) -> float:
     return -reduce(add, ((w / total) * math.log(w / total) for w in ws))
 
 
+# power-iteration rounds of eigenvector centrality
+CENTRALITY_ITERATIONS = 100
+
+
 @dataclass(frozen=True)
 class CentralityVector:
     scores: np.ndarray
@@ -87,7 +91,7 @@ class CentralityVector:
 
 
 def eigenvector_centrality(
-    network: "CooccurrenceNetwork", iterations: int = 100
+    network: "CooccurrenceNetwork", iterations: int = CENTRALITY_ITERATIONS
 ) -> CentralityVector:
     """Power iteration on the weighted co-occurrence adjacency.
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,12 +21,23 @@ from hiertag.baselines import (
     extract_schmitz,
     strip_synthetic_root,
 )
-from hiertag.corpus import build_cooccurrence, corpus_from_object_lists
+from hiertag.corpus import CooccurrenceNetwork, build_cooccurrence, corpus_from_object_lists
 from hiertag.hierarchy import Hierarchy, hierarchy_to_text
 
 
 def _network(objects):
     return build_cooccurrence(corpus_from_object_lists(objects))
+
+
+@pytest.mark.parametrize("extract", [extract_heymann, extract_schmitz])
+def test_empty_network_is_rejected(extract):
+    no_counts = np.zeros(0, dtype=np.int64)
+    empty = CooccurrenceNetwork(
+        names=(), q_total=0, freq=(), indptr=np.zeros(1, dtype=np.int64),
+        indices=no_counts, weights=no_counts,
+    )
+    with pytest.raises(ValueError, match="empty network"):
+        extract(empty)
 
 
 def _nested():

@@ -626,6 +626,24 @@ def test_malformed_manifest_argv_names_the_manifest_line(
     assert os.listdir(tmp_path) == ["bad.manifest"]
 
 
+def test_manifest_without_an_argv_row_is_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m").write_text("subcommand\ttree\nlevels\t3\n", encoding="utf-8")
+    assert main(["--manifest", "m"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: manifest 'm' has no argv line to replay\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["m"]
+
+
+@pytest.mark.parametrize("files", [[], ["a.manifest", "b.manifest"]], ids=["none", "two"])
+def test_manifest_takes_exactly_one_file(capsys, files):
+    assert main(["--manifest", *files]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --manifest takes exactly one manifest file\n"
+    assert captured.out == ""
+
+
 def test_undecodable_manifest_error_names_the_file(tmp_path, capsys):
     manifest = tmp_path / "bad.manifest"
     manifest.write_bytes(b"subcommand\ttree\xff\nargv\ttree\t--levels\t2\n")
@@ -757,6 +775,54 @@ def test_tree_only_commands_name_the_file(tmp_path, capsys, argv):
     assert err.startswith(f"error: {forest}: ")
     assert len(err.strip().splitlines()) == 1
     assert sorted(os.listdir(tmp_path)) == ["forest.tsv"]
+
+
+# tag d has two parents, b and c
+FIVE_TAG_DAG = "a\tb\na\tc\nb\td\nc\td\nd\te\n"
+TWO_ROOT_FOREST = "a\tb\na\tc\nd\te\n"
+
+
+@pytest.mark.parametrize("text", [FIVE_TAG_DAG, TWO_ROOT_FOREST], ids=["dag", "forest"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "h.tsv"],
+        ["randomize", "h.tsv", "--fraction", "0.5"],
+        ["evaluate", "h.tsv", "h.tsv", "--lmi"],
+    ],
+    ids=["curve", "randomize", "evaluate-lmi"],
+)
+def test_rewiring_commands_reject_a_non_tree_naming_the_file(
+    tmp_path, monkeypatch, capsys, text, argv
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.tsv").write_text(text, encoding="utf-8")
+    assert main(argv + ["--out", "out.tsv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: h.tsv: rewire requires a single-rooted tree\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["h.tsv"]
+
+
+@pytest.mark.parametrize(
+    "recon, message",
+    [
+        ("a\tb\n", "dag.tsv, r.tsv: mismatched tag sets: only in exact ['c', 'd', 'e'], "
+         "only in reconstructed []"),
+        (None, "[Errno 2] No such file or directory: 'r.tsv'"),
+    ],
+    ids=["other-tags", "missing"],
+)
+def test_evaluate_lmi_reports_the_pair_before_the_tree_check(
+    tmp_path, monkeypatch, capsys, recon, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dag.tsv").write_text(FIVE_TAG_DAG, encoding="utf-8")
+    if recon is not None:
+        (tmp_path / "r.tsv").write_text(recon, encoding="utf-8")
+    assert main(["evaluate", "dag.tsv", "r.tsv", "--lmi", "--out", "out.tsv"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert "out.tsv" not in os.listdir(tmp_path)
 
 
 def test_evaluate_without_lmi_accepts_a_forest(tmp_path):

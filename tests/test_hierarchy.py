@@ -58,6 +58,15 @@ def test_malformed_line_reports_number(tmp_path):
     assert err.value.line_number == 2
 
 
+def test_edge_with_an_empty_tag_names_the_file_and_line(tmp_path):
+    path = tmp_path / "h.tsv"
+    path.write_text("a\tb\na\t\n")
+    with pytest.raises(HierarchyFormatError) as err:
+        load_hierarchy(path)
+    assert str(err.value) == f"{path}: line 2: empty tag in edge"
+    assert err.value.line_number == 2
+
+
 def test_unknown_tag_in_edge_rejected():
     with pytest.raises(ValueError, match="unknown tag"):
         Hierarchy(("a", "b"), (("a", "zzz"),))

@@ -121,6 +121,13 @@ def test_partition_nmi_matches_descendant_nmi():
     assert checked == 40
 
 
+@pytest.mark.parametrize("score", [nmi, partition_nmi])
+def test_nmi_needs_two_tags(score):
+    one = Hierarchy(("a",), ())
+    with pytest.raises(ValueError, match="NMI needs at least 2 tags"):
+        score(one, one)
+
+
 def test_partition_nmi_identity():
     h = binary_tree(4)
     assert partition_nmi(h, h) == 1.0
@@ -182,6 +189,22 @@ def test_fully_rewired_tree_loses_similarity():
     rewired = rewire(h, 1.0, "random", random.Random(123))
     assert nmi(h, rewired) < 0.05
     assert partition_nmi(h, rewired) < 0.05
+
+
+def test_decay_curve_needs_a_run():
+    with pytest.raises(ValueError, match="runs must be >= 1"):
+        decay_curve(binary_tree(3), runs=0)
+
+
+@pytest.mark.parametrize("grid", [(), (0.5, 0.0), (0.0, 1.5), (-0.1, 0.5)])
+def test_decay_curve_needs_ascending_fractions(grid):
+    with pytest.raises(ValueError, match=r"grid must be ascending fractions within \[0, 1\]"):
+        decay_curve(binary_tree(3), runs=1, grid=grid)
+
+
+def test_lmi_of_an_empty_curve_is_rejected():
+    with pytest.raises(ValueError, match="empty decay curve"):
+        lmi(0.5, DecayCurve((), (), 1))
 
 
 def test_lmi_of_perfect_reconstruction_is_one():

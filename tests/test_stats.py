@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from hiertag.corpus import build_cooccurrence, corpus_from_object_lists
+from hiertag.corpus import CooccurrenceNetwork, build_cooccurrence, corpus_from_object_lists
 from hiertag.stats import (
     cooccurrence_variance,
     eigenvector_centrality,
@@ -104,6 +104,18 @@ def test_entropy_rejects_nonpositive_weights():
 
 def _network_from_objects(objects):
     return build_cooccurrence(corpus_from_object_lists(objects))
+
+
+def test_centrality_rejects_an_empty_network_and_negative_iterations():
+    no_counts = np.zeros(0, dtype=np.int64)
+    empty = CooccurrenceNetwork(
+        names=(), q_total=0, freq=(), indptr=np.zeros(1, dtype=np.int64),
+        indices=no_counts, weights=no_counts,
+    )
+    with pytest.raises(ValueError, match="empty network"):
+        eigenvector_centrality(empty)
+    with pytest.raises(ValueError, match="iterations must be >= 0"):
+        eigenvector_centrality(_network_from_objects([["a", "b"]]), iterations=-1)
 
 
 def test_centrality_two_tags_symmetric():
