@@ -235,18 +235,37 @@ def _rewire_parents(
 ) -> list[int]:
     """The rewiring kernel: a new parent list with the first
     round(fraction * len(links)) of `links` rewired, `links` shuffled with
-    `rng` first when `shuffle` is set. The inputs are not modified."""
+    `rng` first when `shuffle` is set. The inputs are not modified.
+
+    It draws the stream of ``rng.shuffle(links)`` and one
+    ``rng.randrange(len(parent))`` per candidate parent, with no Python frame
+    per draw."""
     parent = parent.copy()
+    # bounded draws inline CPython's `_randbelow_with_getrandbits(m)`, as the
+    # generator's do: take m's bit length in bits and draw again while the
+    # result is >= m (tests/test_properties.py checks the stream against a
+    # reference that makes the public calls)
+    getrandbits, n = rng.getrandbits, len(parent)
     if shuffle:
         links = links.copy()
-        rng.shuffle(links)
-    randrange, n = rng.randrange, len(parent)
+        # `random.shuffle`'s loop: swap each position, from the last down to
+        # the second, with a position drawn below it or at it
+        for i in range(len(links) - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            links[i], links[j] = links[j], links[i]
+    k = n.bit_length()
     for child in links[: int(fraction * len(links) + 0.5)]:
         # with the child's parent set to -2 for the draws, a walk up from a
         # candidate ends at -1 at the root and at -2 through the child
         parent[child] = up = -2
         while up != -1:
-            candidate = up = randrange(n)
+            candidate = getrandbits(k)
+            while candidate >= n:
+                candidate = getrandbits(k)
+            up = candidate
             while up >= 0:
                 up = parent[up]
         parent[child] = candidate

@@ -49,19 +49,29 @@ def _below(children: list[list[int]], order: list[int]) -> list[int]:
 
 
 def _parent_list_below(parent: list[int]) -> list[int]:
-    """:func:`_below` of a forest given as a parent list (-1 for a root)."""
+    """:func:`_below` of a forest given as a parent list (-1 for a root).
+
+    One pass over a breadth-first order from its end folds each tag's bitset,
+    complete by then, into its parent's; the ints equal `_below`'s, since
+    OR does not depend on the order of its operands."""
     children: list[list[int]] = [[] for _ in parent]
     order: list[int] = []
     for c, p in enumerate(parent):
         (children[p] if p >= 0 else order).append(c)
     for v in order:  # grows while it is read: a breadth-first order
         order.extend(children[v])
-    return _below(children, order)
+    below = [0] * len(parent)
+    for c in reversed(order):
+        p = parent[c]
+        if p >= 0:
+            below[p] |= below[c] | 1 << c
+    return below
 
 
 def _reference(exact: Hierarchy) -> tuple[list[int], list[int], list[float]]:
     """The exact side's scoring tables: its descendant bitsets, their bit
-    counts |D_e| and each tag's p_e * ln(p_e) term (0.0 where p_e is 0).
+    counts |D_e|, and p * ln(p) per descendant count c = 0..N-1, with
+    p = c / (N - 1) (0.0 at c = 0), which both sides' terms read.
 
     They are built the first time `exact` is scored and kept on it, since a
     reference hierarchy is scored against many reconstructions; the other
@@ -71,8 +81,8 @@ def _reference(exact: Hierarchy) -> tuple[list[int], list[int], list[float]]:
         below = _below(exact._children, exact._order)
         de = [e.bit_count() for e in below]
         scale = len(de) - 1
-        terms = [e / scale * math.log(e / scale) if e else 0.0 for e in de]
-        exact._scoring = (below, de, terms)
+        plogp = [c / scale * math.log(c / scale) if c else 0.0 for c in range(scale + 1)]
+        exact._scoring = (below, de, plogp)
     return exact._scoring
 
 
@@ -121,20 +131,22 @@ def _nmi_from_bits(
     other side's descendant bitsets, in tag order.
 
     A tag with no descendants on the other side adds only its p_e * ln(p_e)
-    term, so its overlap count and logs are skipped; every float addition
-    runs in the order of the formula written out per tag.
+    term, so its overlap count and logs are skipped; both sides' p * ln(p)
+    terms are read from the table by count; every float addition runs in the
+    order of the formula written out per tag.
     """
-    below_e, de, terms = reference
+    below_e, de, plogp = reference
     num = den = 0.0
     scale = len(de) - 1
-    for e_bits, e, term, r_bits in zip(below_e, de, terms, below_r):
-        den += term
+    for e_bits, e, r_bits in zip(below_e, de, below_r):
+        den += plogp[e]
         if r_bits:
-            pr = r_bits.bit_count() / scale
+            r = r_bits.bit_count()
+            pr = r / scale
             per = (e_bits & r_bits).bit_count() / scale
             if per > 0.0:
                 num += per * math.log(per / (e / scale * pr))
-            den += pr * math.log(pr)
+            den += plogp[r]
     if den == 0.0:
         return 0.0
     return max(-2.0 * num / den, 0.0)
@@ -278,21 +290,25 @@ def lmi(i_er: float, curve: DecayCurve) -> float:
     f* is read off the monotone decay curve by piecewise-linear inverse
     interpolation (first crossing). Scores at or above the curve's start map
     to f* = 0 (LMI 1); scores below the curve's value at f = 1 clamp to
-    f* = 1 (LMI 0).
+    f* = 1 (LMI 0). A NaN score or curve value crosses nowhere, and raises.
     """
     fs, vs = curve.fractions, curve.values
     if not fs:
         raise ValueError("empty decay curve")
+    if math.isnan(i_er):
+        raise ValueError("cannot read the LMI of a NaN score")
+    for f, v in zip(fs, vs):
+        if math.isnan(v):
+            raise ValueError(f"decay curve value at fraction {f:.10g} is NaN")
     if i_er >= vs[0]:
         return 1.0
     if i_er < vs[-1]:
         return 0.0
-    for k in range(len(fs) - 1):
-        if i_er >= vs[k + 1]:
-            t = (vs[k] - i_er) / (vs[k] - vs[k + 1])
-            return 1.0 - (fs[k] + t * (fs[k + 1] - fs[k]))
-    # a NaN score or curve value crosses nowhere, and reads as f* = the last fraction
-    return 1.0 - fs[-1]
+    k = 0  # vs[0] > i_er >= vs[-1], so the first crossing is found
+    while i_er < vs[k + 1]:
+        k += 1
+    t = (vs[k] - i_er) / (vs[k] - vs[k + 1])
+    return 1.0 - (fs[k] + t * (fs[k + 1] - fs[k]))
 
 
 @dataclass(frozen=True)

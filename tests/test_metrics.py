@@ -217,6 +217,19 @@ def test_lmi_below_plateau_is_zero():
     assert lmi(0.05, curve) == 0.0
 
 
+def test_lmi_of_a_nan_score_is_rejected():
+    curve = DecayCurve(fractions=(0.0, 0.5, 1.0), values=(1.0, 0.5, 0.1), runs=1)
+    with pytest.raises(ValueError, match="LMI of a NaN score"):
+        lmi(float("nan"), curve)
+
+
+def test_lmi_with_a_nan_curve_value_is_rejected():
+    # the NaN sits in the segment that 0.8 would cross
+    curve = DecayCurve(fractions=(0.0, 0.5, 1.0), values=(1.0, float("nan"), 0.1), runs=1)
+    with pytest.raises(ValueError, match="decay curve value at fraction 0.5 is NaN"):
+        lmi(0.8, curve)
+
+
 def test_lmi_linear_interpolation():
     curve = DecayCurve(fractions=(0.0, 0.5, 1.0), values=(1.0, 0.6, 0.1), runs=1)
     # 0.8 sits 1/4 of the way down the first segment

@@ -197,6 +197,29 @@ def test_decay_curves_match_pinned_digests(order):
     assert _sha256(curve.to_text()) == CURVES[order]
 
 
+# recorded with the randrange/rng.shuffle rewiring kernel and the two-pass
+# parent-list bitsets, on the benchmark's 1,023-tag tree: one run per cell,
+# the 0.05 grid in random order and the 0.1 grid in the depth orders
+PAPER_SCALE_CURVES = {
+    "leaf-first": "8405bea23b4dd8e574f62b08465c85573d2136bb5d8779722fa8f4f0bf283eb2",
+    "random": "1773035337a9b11cc0462d6642e301327a501fd8d3a4899eb72ff54e565c0db7",
+    "top-first": "ec3fa840fefaeadc3788048fccf861c1daaae8ac1b7a64c2c1f18e1be80cee97",
+}
+PAPER_SCALE_REWIRED = "e4f0a1c3b3cbca08b3dfaf3e57f6a97cfad04ae00e7c2200132b34b8f7b9bf4c"
+
+
+@pytest.mark.parametrize("order", sorted(PAPER_SCALE_CURVES))
+def test_paper_scale_decay_curves_match_pinned_digests(order):
+    grid = tuple(i / 20 for i in range(21)) if order == "random" else tuple(i / 10 for i in range(11))
+    curve = decay_curve(binary_tree(10), order, runs=1, grid=grid, seed=1)
+    assert _sha256(curve.to_text()) == PAPER_SCALE_CURVES[order]
+
+
+def test_paper_scale_rewired_tree_matches_pinned_digest():
+    rewired = rewire(binary_tree(10), 0.2, "random", random.Random(1))
+    assert _sha256(hierarchy_to_text(rewired)) == PAPER_SCALE_REWIRED
+
+
 MANIFEST_RUNS = [
     ["tree", "--levels", "6", "--out", "exact.tsv"],
     [

@@ -596,6 +596,12 @@ def trees(draw):
     return Hierarchy(order, edges)
 
 
+def _heap_tree(n):
+    """Tags 1..n, tag k under tag k // 2, named so that tag order is k order."""
+    ks = range(1, n + 1)
+    return Hierarchy.from_parents([f"h{k:04d}" for k in ks], [k // 2 - 1 for k in ks])
+
+
 @relaxed
 @given(
     trees(),
@@ -603,6 +609,10 @@ def trees(draw):
     st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
     st.integers(0, 2**32),
 )
+# a 32-tag tree draws its parents in 6 bits, where a 31-tag tree takes 5; a
+# 33-tag tree's shuffle of its 32 links starts with a 6-bit draw
+@example(_heap_tree(32), "random", 1.0, 0)
+@example(_heap_tree(33), "random", 1.0, 0)
 def test_rewire_equals_subtree_search_reference(tree, order, fraction, seed):
     got_rng, ref_rng = random.Random(seed), random.Random(seed)
     got = rewire(tree, fraction, order, got_rng)
@@ -610,6 +620,21 @@ def test_rewire_equals_subtree_search_reference(tree, order, fraction, seed):
     assert got.is_tree()
     # both made the same draws, so their streams end in the same state
     assert got_rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 31, 32, 33, 1023, 1024, 1025])
+def test_rewiring_draws_what_randrange_and_shuffle_draw(n):
+    # the rewiring kernel inlines CPython's `_randbelow_with_getrandbits`, the
+    # draw behind `randrange` and `shuffle`, which the reference calls on a
+    # twin generator; a CPython that draws them otherwise fails here. Trees
+    # of n and n + 1 tags draw parents below n and shuffle n links
+    for tree in (_heap_tree(n), _heap_tree(n + 1)):
+        for order in REWIRING_ORDERS:
+            for seed in range(3):
+                got_rng, ref_rng = random.Random(seed), random.Random(seed)
+                got = rewire(tree, 1.0, order, got_rng)
+                assert got == _rewire_by_subtree_search(tree, 1.0, order, ref_rng)
+                assert got_rng.getstate() == ref_rng.getstate()
 
 
 def _curve_cell_by_cell(tree, order, runs, grid, seed):
