@@ -14,7 +14,7 @@ import random
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import accumulate, pairwise
+from itertools import accumulate, chain, pairwise
 from typing import Iterator
 
 import numpy as np
@@ -232,13 +232,54 @@ def _chunks(h: Hierarchy, config: BenchmarkConfig) -> Iterator[tuple[list[int], 
     )
 
 
+def _distinct_names(
+    names: np.ndarray, flat: list[int], sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A `_make_chunk` block's objects as their distinct tag names in
+    first-appearance order, back to back, and the end of each object's names."""
+    obj = np.repeat(np.arange(len(sizes)), sizes)
+    pos = np.array(flat, dtype=np.int64)
+    # the first occurrence of each (object, position) key is a tag's first
+    # draw in its object; np.unique finds them with one stable sort
+    first = np.zeros(len(pos), dtype=bool)
+    first[np.unique(obj * len(names) + pos, return_index=True)[1]] = True
+    return names[pos[first]], np.cumsum(np.bincount(obj[first], minlength=len(sizes)))
+
+
+def _named_chunks(
+    h: Hierarchy, config: BenchmarkConfig
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """`_distinct_names` of every chunk in generation order, the one naming
+    rule for objects; `h` is checked here, before any draw."""
+    chunks = _chunks(h, config)
+    names = np.array(h.tags, dtype=object)
+    return (_distinct_names(names, flat, sizes) for flat, sizes in chunks)
+
+
+def _tag_lists(names: np.ndarray, ends: np.ndarray) -> list[list[str]]:
+    """Objects as lists of their tag names."""
+    names = names.tolist()
+    return [names[a:b] for a, b in pairwise([0, *ends.tolist()])]
+
+
+def _lines(names: np.ndarray, ends: np.ndarray) -> str:
+    """Objects as text, each a line of its tag names separated by TABs."""
+    parts = np.empty(2 * len(names), dtype=object)
+    parts[0::2] = names
+    parts[1::2] = "\t"
+    parts[2 * ends - 1] = "\n"
+    return "".join(parts.tolist())
+
+
 def iter_object_tags(h: Hierarchy, config: BenchmarkConfig) -> Iterator[list[str]]:
     """Objects in generation order, as lists of distinct tag names."""
-    return (
-        [h.tags[i] for i in dict.fromkeys(flat[a:b])]
-        for flat, sizes in _chunks(h, config)
-        for a, b in pairwise(accumulate(sizes.tolist(), initial=0))
-    )
+    return chain.from_iterable(_tag_lists(*chunk) for chunk in _named_chunks(h, config))
+
+
+def _object_lines(h: Hierarchy, config: BenchmarkConfig) -> Iterator[str]:
+    """The objects of `iter_object_tags` as the text of an objects file, one
+    string per chunk."""
+    return (_lines(*chunk) for chunk in _named_chunks(h, config))
 
 
 def generate(h: Hierarchy, config: BenchmarkConfig) -> TagCorpus:

@@ -35,7 +35,7 @@ from .baselines import (
 )
 from .benchmark import (
     BenchmarkConfig,
-    iter_object_tags,
+    _object_lines,
     parse_count_distribution,
     parse_profile,
     parse_walk_length,
@@ -180,11 +180,11 @@ def _cmd_generate(args: argparse.Namespace) -> _Run:
         seed=args.seed,
     )
     with _named(args.hierarchy):
-        objects = iter_object_tags(h, config)
+        lines = _object_lines(h, config)
     rows = _option_rows(
         args, "hierarchy", "objects", "tags_per_object", "p_rw", "walk", "profile", "seed"
     )
-    return ("\t".join(tags) + "\n" for tags in objects), rows
+    return lines, rows
 
 
 # algorithm -> (params class, its options in the class's field order, extractor)

@@ -10,15 +10,21 @@ A corpus is the object x tag incidence matrix X (X[o, i] = 1 iff object o
 carries tag i), held as CSR arrays. Every way in (a file, object lists, the
 generator) goes through one array core that takes objects a block at a
 time: it interns a block's tags in one pass, then sorts and deduplicates
-the tag ids of all its objects in one array sort. The co-occurrence network
-is one symmetric CSR matrix of integer counts, counted from the pairs of
-tags each object carries, a block of about PAIR_BLOCK pairs at a time.
+the tag ids of all its objects in one array sort. A file's blocks come from
+`textio.record_blocks`, which keeps the record lines of a block (all of
+them, unchecked, when every line starts with a byte that certainly begins a
+record) and counts each line's TABs: the tokens are one split of the block
+at TABs and newlines, and each object's size is its TAB count plus one.
+With ids, each line's first token is dropped by its index. The
+co-occurrence network is one symmetric CSR matrix of integer counts,
+counted from the pairs of tags each object carries, a block of about
+PAIR_BLOCK pairs at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -119,12 +125,19 @@ def _list_blocks(object_tags: Iterable[Sequence]) -> Iterator[tuple[Iterable, np
 
 
 def _file_blocks(path: str, with_ids: bool) -> Iterator[tuple[Iterable, np.ndarray]]:
-    for rows in record_blocks(path, CorpusFormatError):
-        if with_ids:
-            # a row with only an id leaves the tag "", which load_corpus reports
-            rows = [r.partition("\t")[2] for r in rows]
-        sizes = np.fromiter(map(str.count, rows, repeat("\t")), dtype=np.int64, count=len(rows))
-        yield "\t".join(rows).split("\t"), sizes + 1
+    for text, tabs in record_blocks(path, CorpusFormatError):
+        tokens = text.replace("\n", "\t").split("\t")
+        if not with_ids:
+            yield tokens, tabs + 1
+            continue
+        # each line's first token is its id; a line with only an id keeps the
+        # tag "", which load_corpus reports
+        first = np.cumsum(tabs + 1) - (tabs + 1)
+        for i in first[tabs == 0].tolist():
+            tokens[i] = ""
+        keep = np.ones(len(tokens), dtype=bool)
+        keep[first[tabs > 0]] = False
+        yield compress(tokens, keep.tolist()), np.maximum(tabs, 1)
 
 
 def corpus_from_object_lists(object_tags: Iterable[Sequence[str]]) -> TagCorpus:

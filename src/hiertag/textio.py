@@ -7,18 +7,30 @@ mode turns \\r\\n and \\r into \\n, and only \\n ends a line: \\v, \\f, \\x1c-\\
 it is all whitespace or its first non-blank character is '#'. A record's
 fields are separated by TABs.
 
-There are two readers with the same record rule: `record_lines` yields one
-record with its line number at a time, and `record_blocks` yields the record
-lines of a block of about `BLOCK_CHARS` characters at a time, for the
-objects-file fast path. A UTF-8 fault raises the caller's error class,
-naming the file and the first bad line.
+There are two readers with the same record rule, `_is_record`: `record_lines`
+yields one record with its line number at a time, and `record_blocks` yields
+the record lines of a block of about `BLOCK_CHARS` characters at a time, for
+the objects-file fast path. It reads a block's line structure from its UTF-8
+bytes: the newline positions, each line's first byte and each line's TAB
+count. A line whose first byte is printable ASCII other than ' ' and '#' is
+certainly a record, so a block of such lines skips the rule; any other block
+keeps only the lines the rule passes. A UTF-8 fault raises the caller's
+error class, naming the file and the first bad line.
 """
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterator
+
+import numpy as np
 
 # characters of file text per block
 BLOCK_CHARS = 1 << 16
+
+# the first bytes that certainly start a record: printable ASCII but ' ' and '#'
+_RECORD_START = np.zeros(256, dtype=bool)
+_RECORD_START[0x21:0x7F] = True
+_RECORD_START[ord("#")] = False
 
 
 class TextFormatError(ValueError):
@@ -53,30 +65,51 @@ class TextFormatError(ValueError):
         return cls("not valid UTF-8", path=path)
 
 
+def _is_record(line: str) -> bool:
+    """The record rule: a line is a record unless it is all whitespace or
+    its first non-blank character is '#'."""
+    return bool((s := line.lstrip()) and s[0] != "#")
+
+
 def record_lines(path: str, error: type[TextFormatError]) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, fields) of each record of `path`."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if (s := line.lstrip()) and s[0] != "#":
+                if _is_record(line):
                     yield lineno, line.rstrip("\n").split("\t")
     except UnicodeDecodeError:
         raise error.undecodable(path) from None
 
 
-def record_blocks(path: str, error: type[TextFormatError]) -> Iterator[list[str]]:
-    """The record lines of `path`, without their \\n, a block at a time; a
-    block holds whole lines of about `BLOCK_CHARS` characters."""
+def record_blocks(path: str, error: type[TextFormatError]) -> Iterator[tuple[str, np.ndarray]]:
+    """The record lines of `path` a block at a time, as the lines joined by
+    \\n and each line's TAB count; a block holds whole lines of about
+    `BLOCK_CHARS` characters."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             carry = ""
             while text := carry + (chunk := fh.read(BLOCK_CHARS)):
-                # a block ends at its last newline; the rest goes with the next block
-                cut = text.rfind("\n") + 1 if chunk else len(text)
-                carry = text[cut:]
-                # split("\n"), not splitlines(), which also breaks inside fields
-                rows = [r for r in text[:cut].split("\n") if (s := r.lstrip()) and s[0] != "#"]
-                if rows:
-                    yield rows
+                # a block ends before its last newline; the rest goes with the next block
+                cut = text.rfind("\n") if chunk else len(text)
+                if cut < 0:
+                    carry = text
+                    continue
+                block, carry = text[:cut], text[cut + 1 :]
+                data = np.frombuffer((block + "\n").encode(), dtype=np.uint8)
+                # the TABs and newlines in order: a line's TAB count is the
+                # number of separators between its newline and the one before
+                sep = np.flatnonzero((data == 9) | (data == 10))
+                newlines = np.flatnonzero(data[sep] == 10)
+                tabs = np.diff(newlines, prepend=-1) - 1
+                starts = np.concatenate(([0], sep[newlines[:-1]] + 1))
+                if not _RECORD_START[data[starts]].all():
+                    # split("\n"), not splitlines(), which also breaks inside fields
+                    lines = block.split("\n")
+                    keep = np.fromiter(map(_is_record, lines), dtype=bool, count=len(lines))
+                    if not keep.any():
+                        continue
+                    block, tabs = "\n".join(compress(lines, keep)), tabs[keep]
+                yield block, tabs
     except UnicodeDecodeError:
         raise error.undecodable(path) from None

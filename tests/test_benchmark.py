@@ -22,8 +22,9 @@ from hiertag.benchmark import (
     parse_profile,
     parse_walk_length,
 )
+from hiertag.cli import main
 from hiertag.corpus import corpus_from_object_lists
-from hiertag.hierarchy import Hierarchy, binary_tree
+from hiertag.hierarchy import Hierarchy, binary_tree, load_hierarchy, save_hierarchy
 from hiertag.seeds import derive_seed
 
 
@@ -234,12 +235,12 @@ def _reference_objects(h, config):
 
 
 @st.composite
-def generator_hierarchies(draw):
+def generator_hierarchies(draw, max_tags=24):
     """A random forest (one parent at most) or DAG (up to three). Each tag
     picks its parents among the first `reach` tags before it, so a small reach
     makes hubs with more than 8 neighbours; tags no one picks and that pick
     none stay isolated."""
-    n = draw(st.integers(1, 24))
+    n = draw(st.integers(1, max_tags))
     reach = draw(st.integers(1, n))
     most = draw(st.sampled_from([1, 3]))
     tags = [f"t{k:02d}" for k in range(n)]
@@ -302,6 +303,50 @@ def test_generate_interns_what_iter_object_tags_names(h, config):
     want = corpus_from_object_lists(iter_object_tags(h, config))
     assert got.names == want.names
     assert got == want
+
+
+@st.composite
+def repeat_heavy_options(draw):
+    """`hiertag generate` options under which most draws repeat a tag: many
+    draws per object on a hierarchy of at most 7 tags, walks of up to 40
+    steps, and every draw a walk step or none."""
+    if draw(st.integers(0, 3)):
+        count = f"fixed:{draw(st.integers(1, 24))}"
+    else:
+        count = f"poisson:{draw(st.floats(0.5, 12.0))!r}"
+    w_lo = draw(st.integers(1, 20))
+    return [
+        "--objects", str(draw(st.integers(1, 80) | st.just(CHUNK_OBJECTS + 7))),
+        "--tags-per-object", count,
+        "--p-rw", draw(st.sampled_from(["0", "1", "0.9"])),
+        "--walk", f"uniform:{w_lo}:{w_lo + draw(st.integers(0, 20))}",
+        "--profile", draw(st.sampled_from(["linear-depth", "power-law:0.5", "power-law:1.3", "power-law:3"])),
+        "--seed", str(draw(st.integers(0, 2**32))),
+    ]  # fmt: skip
+
+
+@settings(deadline=None, max_examples=40)
+@given(generator_hierarchies(max_tags=7), repeat_heavy_options())
+def test_generate_writes_the_lines_of_iter_object_tags(tmp_path_factory, h, options):
+    # the command names a whole chunk of objects at once; iter_object_tags
+    # yields one object at a time, and both follow the draws' naming rule
+    tmp = tmp_path_factory.mktemp("generate")
+    tree, out = str(tmp / "tree.tsv"), tmp / "corpus.tsv"
+    save_hierarchy(h, tree)
+    assert main(["generate", "--hierarchy", tree, *options, "--out", str(out)]) == 0
+    opt = dict(zip(options[::2], options[1::2]))
+    config = BenchmarkConfig(
+        object_count=int(opt["--objects"]),
+        p_random_walk=float(opt["--p-rw"]),
+        tags_per_object=parse_count_distribution(opt["--tags-per-object"]),
+        walk_length=parse_walk_length(opt["--walk"]),
+        frequency_profile=parse_profile(opt["--profile"]),
+        seed=int(opt["--seed"]),
+    )
+    h = load_hierarchy(tree)
+    objects = list(iter_object_tags(h, config))
+    assert objects == _reference_objects(h, config)
+    assert out.read_bytes() == "".join("\t".join(tags) + "\n" for tags in objects).encode()
 
 
 @st.composite

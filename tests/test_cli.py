@@ -969,10 +969,10 @@ def test_failed_generate_leaves_the_older_output_untouched(tmp_path, monkeypatch
     out.write_text("older\n", encoding="utf-8")
 
     def fails_part_way(h, config):
-        yield ["1", "2"]
+        yield "1\t2\n"
         raise ValueError("object stream failed")
 
-    monkeypatch.setattr("hiertag.cli.iter_object_tags", fails_part_way)
+    monkeypatch.setattr("hiertag.cli._object_lines", fails_part_way)
     code = main(["generate", "--hierarchy", str(tree), "--objects", "10", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == "error: object stream failed\n"

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from hiertag import corpus as corpus_module
@@ -168,3 +168,110 @@ def test_corpora_compare_by_names_freq_and_arrays():
     assert a != corpus_from_object_lists([["b", "a"], ["b"]])
     assert a != corpus_from_object_lists([["a", "b"], ["b"], ["b"]])
     assert a != (("a", "b"), ((0, 1), (1,)), (1, 2))
+
+
+# The block reader against the line reader: `record_blocks` reads a block's
+# line structure from its bytes and applies the record rule only to blocks
+# with a line that may not be a record, so `load_corpus` must give what
+# `corpus_from_object_lists` gives over the records `record_lines` yields.
+# Tags hold '#', start with a non-ASCII letter or a non-ASCII blank; blank
+# lines are drawn from every kind of whitespace `str.lstrip` removes
+LINE_TAGS = ["a", "b", "b#", "x#y", "\xe9", "\u3000c", "\x85d", ""]
+SPACES = " \t\x0b\x0c\x1c\x85\xa0\u3000"
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+def objects_from_record_lines(path, with_ids):
+    records = [
+        (lineno, fields[1 if with_ids else 0 :])
+        for lineno, fields in textio.record_lines(path, CorpusFormatError)
+    ]
+    for lineno, tags in records:
+        if not tags:
+            raise CorpusFormatError("object with no tags", lineno, path)
+        if "" in tags:
+            raise CorpusFormatError("empty tag field", lineno, path)
+    if not records:
+        raise CorpusFormatError("zero objects", path=path)
+    return corpus_from_object_lists(tags for _, tags in records)
+
+
+@st.composite
+def mixed_lines(draw, with_ids):
+    """One line of an objects file, without its line end."""
+    kind = draw(st.sampled_from(["record", "record", "record", "comment", "blank", "lead"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["", " ", "\t", " \x0c"])) + "#" + draw(st.text("a#\t ", max_size=4))
+    if kind == "blank":
+        return draw(st.text(SPACES, max_size=3))
+    fields = draw(st.lists(st.sampled_from(LINE_TAGS), min_size=1, max_size=4))
+    if with_ids and draw(st.integers(0, 7)):
+        fields = [f"o{draw(st.integers(0, 9))}", *fields]
+    line = "\t".join(fields)
+    # a leading space or non-ASCII letter makes the line take the rule
+    return draw(st.sampled_from([" ", "\xe9", "\xa0"])) + line if kind == "lead" else line
+
+
+@st.composite
+def mixed_object_files(draw):
+    """(text, with_ids): an optional byte-order mark, lines with mixed line
+    ends and an optional final line end."""
+    with_ids = draw(st.booleans())
+    lines = draw(st.lists(mixed_lines(with_ids), max_size=12))
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "".join(map(str.__add__, lines, ends)), with_ids
+
+
+def _checked_lines(monkeypatch):
+    """The lines the record rule is asked about from now on."""
+    seen = []
+    rule = textio._is_record
+
+    def spy(line):
+        seen.append(line)
+        return rule(line)
+
+    monkeypatch.setattr(textio, "_is_record", spy)
+    return seen
+
+
+@settings(deadline=None, max_examples=400)
+@given(mixed_object_files(), st.integers(1, 7))
+def test_block_reader_loads_what_the_line_reader_reads(tmp_path_factory, file, block):
+    text, with_ids = file
+    path = str(tmp_path_factory.mktemp("corpus") / "objects.tsv")
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+    expected = _outcome(objects_from_record_lines, path, with_ids)
+    with mock.patch.object(textio, "BLOCK_CHARS", block), pytest.MonkeyPatch.context() as mp:
+        checked = _checked_lines(mp)
+        got = _outcome(load_corpus, path, with_ids)
+    assert got == expected
+    if got[0] != "error":
+        with open(path, encoding="utf-8-sig") as fh:
+            n_lines = sum(1 for _ in fh)
+        # a line the rule never saw was in a block that skipped it
+        event(f"filtered block: {bool(checked)}; unfiltered block: {len(checked) < n_lines}")
+
+
+@pytest.mark.parametrize(
+    "block, checked", [(1, ["# c", " d"]), (textio.BLOCK_CHARS, ["a\tb", "# c", " d"])]
+)
+def test_only_a_block_with_a_possible_non_record_takes_the_rule(
+    tmp_path, monkeypatch, block, checked
+):
+    # one-character blocks hold one line each: "a\tb" and "e" certainly are
+    # records and skip the rule, "# c" and " d" do not. A larger block holds
+    # every line up to the last line end, and takes the rule; "e", after
+    # that line end, is a block of its own
+    path = tmp_path / "objects.tsv"
+    path.write_bytes(b"a\tb\n# c\n d\r\ne")
+    monkeypatch.setattr(textio, "BLOCK_CHARS", block)
+    seen = _checked_lines(monkeypatch)
+    corpus = load_corpus(str(path))
+    assert corpus.names == ("a", "b", " d", "e")
+    assert corpus.indptr.tolist() == [0, 2, 3, 4]
+    assert seen == checked

@@ -422,3 +422,48 @@ def test_loaded_networks_match_pinned_digests(tmp_path, monkeypatch):
     (tmp_path / "messy.tsv").write_bytes("\r\n".join(messy).encode("utf-8"))
     network = build_cooccurrence(load_corpus("messy.tsv", with_ids=True))
     assert _network_digests(network) == LOADED_NETWORK
+
+
+# `hiertag generate` on the 1023-tag tree, seed 1: the paper-scale default
+# run, and a run where each object draws 12 positions, most of them walk
+# steps that revisit a tag, so repeats dominate. Each file is pinned by its
+# bytes and by the arrays `build_cooccurrence` makes from it once loaded
+PAPER_SCALE_RUNS = {
+    "default": ["--objects", "50000"],
+    "repeats": [
+        "--objects", "7000", "--tags-per-object", "fixed:12", "--p-rw", "0.9",
+        "--walk", "uniform:1:5", "--profile", "power-law:1.3",
+    ],
+}  # fmt: skip
+PAPER_SCALE_CORPORA = {
+    "default": "fd8fddba3262378121c64fad6e5fc18844dc18ed1ab38382d48a90a9dfbf3ddf",
+    "repeats": "2e77473a9321bd3eae8fed389fa0170db18e3e1954e459f425cde8d96e609680",
+}
+PAPER_SCALE_NETWORKS = {
+    "default": {
+        "names": "0b744c71c462afc939968b44ff40ef43362d0364013d356c935a016d0ab53ca8",
+        "freq": "821aa4c798eb7073f07a37fca0be0ac9c23cd9d6402cac952bdf733192d48875",
+        "indptr": "3b022d7252141484ab95a943d72bed4d4ceeab03ce28759329aa665e9ff71ac5",
+        "indices": "d84ecf9ce481701abdb17239727f3648c61057a114ca9547c25fe1a6323cdd7b",
+        "weights": "3457a42bef31bd3b5fbdc9eed1c711650172cc1d8d17a064739814c217b871d6",
+    },
+    "repeats": {
+        "names": "bb216d4663ad6040fb9b35c581d7769268388d86587cf62132826facc577fabd",
+        "freq": "23089835634af5326345250596cf0acc37b3c90007267d8b8f2acde1360bd2b3",
+        "indptr": "f3ca80905ecd59fce213d16dd842921cfd8d96d4cbda3f9287683c533d4d6647",
+        "indices": "46915fdc125fac82a75e1090a4474352bf7c06f62b8f9eea4a7a38ea9bef7d4e",
+        "weights": "693b1e2892daca993527cc22896478aeeaed2f552298f4ac937cf6885b81c0b6",
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(PAPER_SCALE_RUNS))
+def test_paper_scale_corpora_match_pinned_digests(run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["tree", "--levels", "10", "--out", "exact.tsv"]) == 0
+    argv = ["generate", "--hierarchy", "exact.tsv", *PAPER_SCALE_RUNS[run], "--seed", "1"]
+    assert main(argv + ["--out", "corpus.tsv"]) == 0
+    got = hashlib.sha256((tmp_path / "corpus.tsv").read_bytes()).hexdigest()
+    assert got == PAPER_SCALE_CORPORA[run]
+    network = build_cooccurrence(load_corpus("corpus.tsv"))
+    assert _network_digests(network) == PAPER_SCALE_NETWORKS[run]

@@ -1,9 +1,10 @@
 """The shared line format: both readers against one reference, and
 byte-order marks.
 
-`record_blocks` (the objects-file fast path) and `record_lines` (every other
-reader) implement the record rule separately, so the property runs both on
-random texts at several block sizes and requires the same record lines as a
+`record_blocks` (the objects-file fast path) reads line structure from a
+block's bytes and `record_lines` (every other reader) goes line by line, so
+the property runs both on random texts at several block sizes and requires
+the same record lines, and from `record_blocks` the same TAB counts, as a
 reference that splits the decoded text at universal newlines. A leading
 byte-order mark must leave every input, and every UTF-8 fault message,
 exactly as it is without the mark.
@@ -66,8 +67,11 @@ def test_both_readers_return_the_reference_records(tmp_path_factory, block, text
     expected = reference_records(text)
     assert list(record_lines(path, TextFormatError)) == expected
     with mock.patch.object(textio, "BLOCK_CHARS", block):
-        rows = [row for rows in record_blocks(path, TextFormatError) for row in rows]
+        blocks = list(record_blocks(path, TextFormatError))
+    rows = [row for text, _ in blocks for row in text.split("\n")]
     assert rows == ["\t".join(fields) for _, fields in expected]
+    tabs = [n for _, counts in blocks for n in counts.tolist()]
+    assert tabs == [len(fields) - 1 for _, fields in expected]
 
 
 def _write_pair(tmp_path, text):
