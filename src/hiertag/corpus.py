@@ -11,14 +11,23 @@ carries tag i), held as CSR arrays. Every way in (a file, object lists, the
 generator) goes through one array core that takes objects a block at a
 time: it interns a block's tags in one pass, then sorts and deduplicates
 the tag ids of all its objects in one array sort. A file's blocks come from
-`textio.record_blocks`, which keeps the record lines of a block (all of
-them, unchecked, when every line starts with a byte that certainly begins a
-record) and counts each line's TABs: the tokens are one split of the block
+`textio.record_blocks`, which keeps the record lines of a block (a line
+that starts with a byte that certainly begins a record goes unchecked)
+and counts each line's TABs: the tokens are one split of the block
 at TABs and newlines, and each object's size is its TAB count plus one.
 With ids, each line's first token is dropped by its index. The
 co-occurrence network is one symmetric CSR matrix of integer counts,
 counted from the pairs of tags each object carries, a block of about
 PAIR_BLOCK pairs at a time.
+
+Memory: a block's pair keys i * n + j are built by in-place arithmetic
+(the partner ids are gathered into their own offsets' buffer), then sorted
+and counted in place. `_symmetric` stores the distinct pairs in both their
+rows: each pair's copy i < j goes to its row in key order, and its mirror
+copy follows one argsort of the mirror keys j * n + i, gathered into spent
+buffers. Each temporary goes once its last use has passed, so on the
+paper-scale corpus counting peaks at 1.7 times the bytes of the arrays it
+returns.
 """
 from __future__ import annotations
 
@@ -100,10 +109,7 @@ def _corpus(blocks: Iterable[tuple[Iterable, np.ndarray]]) -> TagCorpus:
         # block; equal neighbours are a tag repeated within one object
         n = len(index)
         key = np.repeat(np.arange(0, len(sizes) * n, n, dtype=np.int64), sizes) + ids
-        key.sort()
-        distinct = np.ones(len(key), dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=distinct[1:])
-        obj, ids = np.divmod(key[distinct], n)
+        obj, ids = np.divmod(key[_run_heads(key)], n)
         tag_parts.append(ids)
         size_parts.append(np.bincount(obj, minlength=len(sizes)))
     if not size_parts:
@@ -235,6 +241,14 @@ def expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return offsets
 
 
+def _run_heads(keys: np.ndarray) -> np.ndarray:
+    """Sort `keys` in place; the mask of the first key of each run of equal keys."""
+    keys.sort()
+    heads = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+    return heads
+
+
 def _add_counts(
     keys: np.ndarray, counts: np.ndarray, more_keys: np.ndarray, more_counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -248,32 +262,82 @@ def _add_counts(
     return np.insert(keys, at[new], more_keys[new]), np.insert(counts, at[new], more_counts[new])
 
 
-def build_cooccurrence(corpus: TagCorpus) -> CooccurrenceNetwork:
-    """Count Q_ij for every tag pair from the pairs each object carries."""
+def _pair_keys(tags: np.ndarray, ptr: np.ndarray, n: int) -> np.ndarray:
+    """The key i * n + j of every pair i < j that an object carries, for the
+    objects whose tag ids `tags[ptr[0]:ptr[-1]]` the pointers `ptr` split."""
+    # entry p pairs with the entries after it in its object; an object's tag
+    # ids ascend, so each of its pairs comes once, as i < j
+    nxt = np.arange(ptr[0] + 1, ptr[-1] + 1)
+    after = np.repeat(ptr[1:], np.diff(ptr))
+    after -= nxt
+    cols = expand_runs(nxt, after)
+    del nxt
+    # the partner ids are gathered into the offsets' own buffer: every offset
+    # is in range, so "clip" changes nothing but lets take write unbuffered
+    np.take(tags, cols, out=cols, mode="clip")
+    keys = np.repeat(tags[ptr[0] : ptr[-1]], after)
+    keys *= n
+    keys += cols
+    return keys
+
+
+def _pair_counts(corpus: TagCorpus) -> tuple[np.ndarray, np.ndarray]:
+    """The keys i * n + j (i < j) of the pairs the objects carry, ascending,
+    and how many objects carry each."""
     n, tags, indptr = corpus.n_tags, corpus.tags, corpus.indptr
     # the objects go in blocks of about PAIR_BLOCK pairs, so a corpus of long
-    # objects never holds all its pair keys i * n + j at once
+    # objects never holds all its pair keys at once
     sizes = np.diff(indptr)
     ends = np.cumsum(sizes * (sizes - 1) // 2)
     cuts = np.searchsorted(ends, np.arange(PAIR_BLOCK, ends[-1] if len(ends) else 0, PAIR_BLOCK))
     pairs = None
     for a, b in zip([0, *cuts], [*cuts, len(sizes)]):
-        # entry p pairs with the entries after it in its object; an object's
-        # tag ids ascend, so each of its pairs comes once, as i < j
-        nxt = np.arange(indptr[a] + 1, indptr[b] + 1)
-        after = np.repeat(indptr[a + 1 : b + 1], sizes[a:b]) - nxt
-        keys = np.repeat(tags[indptr[a] : indptr[b]] * n, after)
-        keys += tags[expand_runs(nxt, after)]
-        keys, c = np.unique(keys, return_counts=True)
+        keys = _pair_keys(tags, indptr[a : b + 1], n)
+        heads = np.flatnonzero(_run_heads(keys))
+        c = np.diff(heads, append=len(keys))
+        keys = keys[heads]
         if pairs is not None:
             keys, c = _add_counts(pairs, counts, keys, c)
         pairs, counts = keys, c
-    # each pair is stored in both of its rows, at i * n + j and j * n + i;
-    # sorting the keys of both copies orders every row by ascending partner
-    keys = np.concatenate([pairs, pairs % n * n + pairs // n])
-    order = np.argsort(keys)
-    keys = keys[order]
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    return CooccurrenceNetwork(
-        corpus.names, corpus.n_objects, corpus.freq, indptr, keys % n, np.tile(counts, 2)[order]
-    )
+    return pairs, counts
+
+
+def _symmetric(
+    names: tuple[str, ...], q_total: int, freq: tuple[int, ...], keys: np.ndarray, counts: np.ndarray
+) -> CooccurrenceNetwork:
+    """The network that stores each pair i < j in both its rows, from the
+    pairs' keys i * n + j, ascending (overwritten), and their counts."""
+    n = len(names)
+    # row r holds its partners below r, from the pairs (i, r) in ascending i,
+    # then those above r, from the pairs (r, j): the pairs' own order
+    cols = keys % n
+    rows = keys
+    rows //= n  # in place: the keys are spent
+    below, above = np.bincount(cols, minlength=n), np.bincount(rows, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(below + above, out=indptr[1:])
+    upper = np.repeat(np.tile([False, True], n), np.column_stack([below, above]).ravel())
+    # the mirror copies in CSR order are the pairs ordered by (j, i)
+    mirror = cols * n
+    mirror += rows
+    order = np.argsort(mirror)
+    del mirror
+    indices = np.empty(len(upper), dtype=np.int64)
+    indices[upper] = cols
+    lower = ~upper
+    # the mirror copies' partners and counts are gathered into the buffers of
+    # cols and rows, whose contents are spent: every position is in range, so
+    # "clip" changes nothing but lets take write unbuffered
+    indices[lower] = np.take(rows, order, out=cols, mode="clip")
+    del cols
+    mirrored = np.take(counts, order, out=rows, mode="clip")
+    del order
+    weights = np.empty(len(upper), dtype=counts.dtype)
+    weights[upper] = counts
+    weights[lower] = mirrored
+    return CooccurrenceNetwork(names, q_total, freq, indptr, indices, weights)
+
+
+def build_cooccurrence(corpus: TagCorpus) -> CooccurrenceNetwork:
+    """Count Q_ij for every tag pair from the pairs each object carries."""
+    return _symmetric(corpus.names, corpus.n_objects, corpus.freq, *_pair_counts(corpus))

@@ -9,11 +9,13 @@ candidate by its z-score with the tag plus the z-scores with the tag's
 already-attached descendants (each descendant contributing only through links
 that qualify on their own). Tags with no candidate become roots.
 
-Pruning is one mask over the stored counts of the network's CSR matrix; the
-sweep then reads only the much smaller pruned matrix. A descendant's link
-qualifies by the same test that keeps a pair in pruning (up to the last bit
-of a z-score within one ulp of the threshold), so every contributing link is
-one the pruned matrix holds.
+Pruning scores each pair once, on its stored copy i < j, and stores the
+pairs it keeps in both their rows again, as counting does; the scoring
+temporaries are gone before that rebuild. The sweep then reads only the
+much smaller pruned matrix. A descendant's link qualifies by the same test
+that keeps a pair in pruning (up to the last bit of a z-score within one
+ulp of the threshold), so every contributing link is one the pruned matrix
+holds.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CooccurrenceNetwork
+from .corpus import CooccurrenceNetwork, _symmetric
 from .hierarchy import Hierarchy
 from .stats import CENTRALITY_ITERATIONS, eigenvector_centrality, z_scores
 
@@ -41,13 +43,27 @@ class AlgoBParams:
 
 def prune_network(network: CooccurrenceNetwork, z_threshold: float) -> CooccurrenceNetwork:
     """Keep pair {i, j} iff z_ij > z_threshold, or Q_ij >= Q_i/2, or Q_ij >= Q_j/2."""
+    # the kept pairs are stored in both their rows again, once scoring is done
+    return _symmetric(network.names, network.q_total, network.freq, *_kept_pairs(network, z_threshold))
+
+
+def _kept_pairs(network: CooccurrenceNetwork, z_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The keys i * n + j (i < j), ascending, and counts of the pairs that
+    `prune_network` keeps."""
+    n, indptr, cols = network.n_tags, network.indptr, network.indices
     freq = np.asarray(network.freq, dtype=np.int64)
-    rows, cols, w = network.rows, network.indices, network.weights
-    # z of each pair with its smaller id first, as a loop over i < j scores it,
-    # so that both stored copies of a pair agree
-    z = z_scores(network.q_total, freq[np.minimum(rows, cols)], freq[np.maximum(rows, cols)], w)
-    keep = (w >= 0.5 * freq[rows]) | (w >= 0.5 * freq[cols]) | (z > z_threshold)
-    return network.masked(keep)
+    # each pair is scored once, on its stored copy i < j: z with the smaller id
+    # first, as a loop over i < j scores it
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    upper = cols > rows
+    q_i = freq[rows[upper]]
+    del rows
+    q_j, w = freq[cols[upper]], network.weights[upper]
+    keep = (w >= 0.5 * q_i) | (w >= 0.5 * q_j)
+    keep |= z_scores(network.q_total, q_i, q_j, w) > z_threshold
+    # the kept pairs' rows are found from their positions once scoring is done
+    at = np.flatnonzero(upper)[keep]
+    return (np.searchsorted(indptr, at, side="right") - 1) * n + cols[at], w[keep]
 
 
 def centrality_rank(pruned: CooccurrenceNetwork) -> list[int]:

@@ -18,6 +18,11 @@ float64, and every following step is the same IEEE operation in the same
 order. The formula is not symmetric in rounding, so z(i, j) and z(j, i) can
 differ in the last bit; callers pass the operands in the order the scalar
 code used.
+
+Memory: `z_scores` holds three float64 buffers besides its inputs and the
+mask of scored counts. It casts each count operand to float64 as it goes,
+which below 2**53 gives the same value as the int64 step; the variance,
+sigma and z are then formed in place, in the scalar formula's order.
 """
 from __future__ import annotations
 
@@ -61,10 +66,24 @@ def z_scores(q_total: int, q_i: np.ndarray, q_j: np.ndarray, q_ij: np.ndarray) -
     # every count is scored, and the degenerate ones (sigma = 0, or q_total
     # below 2) are replaced afterwards, so their division warnings are moot
     with np.errstate(divide="ignore", invalid="ignore"):
-        mean = q_i * q_j / q_total
-        variance = mean * ((q_total - q_i) / q_total) * ((q_total - q_j) / (q_total - 1))
-        z = (q_ij - mean) / np.sqrt(variance)
-    return np.where(ok, z, 0.0)
+        # mean, then the variance mean * ((Q - Q_i) / Q) * ((Q - Q_j) / (Q - 1))
+        # multiplied left to right (a product is the same in either operand
+        # order), then sigma and z, in three buffers. Each count goes to
+        # float64 first: below 2**53 every count, difference and product is
+        # then exact or rounds once, as it is in int64
+        mean = np.multiply(q_i, q_j, dtype=np.float64)
+        mean /= q_total
+        sigma = np.subtract(q_total, q_i, dtype=np.float64)
+        sigma /= q_total
+        sigma *= mean
+        tail = np.subtract(q_total, q_j, dtype=np.float64)
+        tail /= q_total - 1
+        sigma *= tail
+        np.sqrt(sigma, out=sigma)
+        z = np.subtract(q_ij, mean, out=mean)
+        z /= sigma
+    z[~ok] = 0.0
+    return z
 
 
 def in_link_entropy(weights: Iterable[float]) -> float:

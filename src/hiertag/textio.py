@@ -13,13 +13,12 @@ the record lines of a block of about `BLOCK_CHARS` characters at a time, for
 the objects-file fast path. It reads a block's line structure from its UTF-8
 bytes: the newline positions, each line's first byte and each line's TAB
 count. A line whose first byte is printable ASCII other than ' ' and '#' is
-certainly a record, so a block of such lines skips the rule; any other block
-keeps only the lines the rule passes. A UTF-8 fault raises the caller's
-error class, naming the file and the first bad line.
+certainly a record and skips the rule; only the other lines take it, and
+the block is cut around those that fail it. A UTF-8 fault raises the
+caller's error class, naming the file and the first bad line.
 """
 from __future__ import annotations
 
-from itertools import compress
 from typing import Iterator
 
 import numpy as np
@@ -96,20 +95,30 @@ def record_blocks(path: str, error: type[TextFormatError]) -> Iterator[tuple[str
                     carry = text
                     continue
                 block, carry = text[:cut], text[cut + 1 :]
-                data = np.frombuffer((block + "\n").encode(), dtype=np.uint8)
+                raw = (block + "\n").encode()
+                data = np.frombuffer(raw, dtype=np.uint8)
                 # the TABs and newlines in order: a line's TAB count is the
                 # number of separators between its newline and the one before
                 sep = np.flatnonzero((data == 9) | (data == 10))
                 newlines = np.flatnonzero(data[sep] == 10)
                 tabs = np.diff(newlines, prepend=-1) - 1
-                starts = np.concatenate(([0], sep[newlines[:-1]] + 1))
-                if not _RECORD_START[data[starts]].all():
-                    # split("\n"), not splitlines(), which also breaks inside fields
-                    lines = block.split("\n")
-                    keep = np.fromiter(map(_is_record, lines), dtype=bool, count=len(lines))
-                    if not keep.any():
+                ends = sep[newlines]
+                starts = np.concatenate(([0], ends[:-1] + 1))
+                # only a line whose first byte may begin a non-record takes the
+                # rule, and the block is cut around the lines that fail it
+                maybe = np.flatnonzero(~_RECORD_START[data[starts]]).tolist()
+                drop = [k for k in maybe if not _is_record(raw[starts[k] : ends[k]].decode())]
+                if drop:
+                    if len(drop) == len(starts):
                         continue
-                    block, tabs = "\n".join(compress(lines, keep)), tabs[keep]
+                    keep = np.ones(len(starts), dtype=bool)
+                    keep[drop] = False
+                    # the stretches of kept lines between the dropped ones,
+                    # each line with its newline
+                    cuts = np.column_stack((starts[drop], ends[drop] + 1)).ravel().tolist()
+                    bounds = [0, *cuts, len(raw)]
+                    kept = b"".join(raw[a:b] for a, b in zip(bounds[::2], bounds[1::2]))
+                    block, tabs = kept[:-1].decode(), tabs[keep]
                 yield block, tabs
     except UnicodeDecodeError:
         raise error.undecodable(path) from None

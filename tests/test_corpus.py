@@ -173,11 +173,12 @@ def test_long_objects_are_counted_in_bounded_pair_blocks():
     whole = build_cooccurrence(corpus)
     block, longest = 5000, 120 * 119 // 2
     with mock.patch.object(corpus_module, "PAIR_BLOCK", block), mock.patch.object(
-        np, "unique", wraps=np.unique
-    ) as unique:
+        corpus_module, "_run_heads", wraps=corpus_module._run_heads
+    ) as heads:
         blocked = build_cooccurrence(corpus)
-    # every block holds at most PAIR_BLOCK pairs plus one object's
-    held = [len(call.args[0]) for call in unique.call_args_list]
+    # every block's keys are sorted and counted at once, and each block holds
+    # at most PAIR_BLOCK pairs plus one object's
+    held = [len(call.args[0]) for call in heads.call_args_list]
     assert len(held) > 10 and max(held) <= block + longest
     for name in ("indptr", "indices", "weights"):
         a, b = getattr(whole, name), getattr(blocked, name)

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from hiertag import corpus as corpus_module
@@ -240,6 +240,9 @@ def _checked_lines(monkeypatch):
 
 @settings(deadline=None, max_examples=400)
 @given(mixed_object_files(), st.integers(1, 7))
+# one blank line inside a long block of certain records, after non-ASCII
+# tags, so that only that line takes the rule and the block is cut around it
+@example(("b\t\xe9\n" * 300 + "\n" + "c\td\n" * 300, False), textio.BLOCK_CHARS)
 def test_block_reader_loads_what_the_line_reader_reads(tmp_path_factory, file, block):
     text, with_ids = file
     path = str(tmp_path_factory.mktemp("corpus") / "objects.tsv")
@@ -257,16 +260,14 @@ def test_block_reader_loads_what_the_line_reader_reads(tmp_path_factory, file, b
         event(f"filtered block: {bool(checked)}; unfiltered block: {len(checked) < n_lines}")
 
 
-@pytest.mark.parametrize(
-    "block, checked", [(1, ["# c", " d"]), (textio.BLOCK_CHARS, ["a\tb", "# c", " d"])]
-)
+@pytest.mark.parametrize("block, checked", [(1, ["# c", " d"]), (textio.BLOCK_CHARS, ["# c", " d"])])
 def test_only_a_block_with_a_possible_non_record_takes_the_rule(
     tmp_path, monkeypatch, block, checked
 ):
-    # one-character blocks hold one line each: "a\tb" and "e" certainly are
-    # records and skip the rule, "# c" and " d" do not. A larger block holds
-    # every line up to the last line end, and takes the rule; "e", after
-    # that line end, is a block of its own
+    # "a\tb" and "e" certainly are records and skip the rule, "# c" and " d"
+    # do not, whether each line is a block of its own (one-character blocks)
+    # or the lines up to the last line end share one block; "e", after that
+    # line end, is a block of its own
     path = tmp_path / "objects.tsv"
     path.write_bytes(b"a\tb\n# c\n d\r\ne")
     monkeypatch.setattr(textio, "BLOCK_CHARS", block)

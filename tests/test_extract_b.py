@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hiertag.benchmark import BenchmarkConfig, generate
 from hiertag.corpus import CooccurrenceNetwork, build_cooccurrence, corpus_from_object_lists
 from hiertag.extract_b import AlgoBParams, centrality_rank, extract_b, prune_network
+from hiertag.hierarchy import binary_tree
 from hiertag.stats import z_from_counts
 
 
@@ -126,3 +129,33 @@ def test_empty_network_is_rejected():
     )
     with pytest.raises(ValueError, match="empty network"):
         extract_b(empty)
+
+
+def _traced_peak(f, *args):
+    """f(*args), and the peak of the memory tracemalloc saw it hold beyond
+    what was held before the call; numpy reports its array buffers to it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = f(*args)
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def _array_bytes(network):
+    return network.indptr.nbytes + network.indices.nbytes + network.weights.nbytes
+
+
+def test_counting_and_pruning_hold_few_temporaries():
+    # 23,585 pairs on a 511-tag tree. The peaks measured 1.63 (counting) and
+    # 1.84 (pruning) times the bytes of the arrays returned, against 3.81 and
+    # 3.64 when every temporary of a step was held at once; each bound leaves
+    # about 22% over its measure. Every pair is kept, so that pruning returns
+    # as many bytes as it reads and stores the most pairs in both rows again
+    corpus = generate(binary_tree(9), BenchmarkConfig(10_000, p_random_walk=0.5, seed=1))
+    network, counting = _traced_peak(build_cooccurrence, corpus)
+    pruned, pruning = _traced_peak(prune_network, network, -math.inf)
+    assert pruned.n_pairs == network.n_pairs == 23_585
+    assert counting <= 2.0 * _array_bytes(network)
+    assert pruning <= 2.25 * _array_bytes(pruned)

@@ -250,6 +250,12 @@ def test_vectorized_z_over_network_is_bit_identical(objects):
 
 @relaxed
 @given(corpora, st.floats(-5.0, 15.0))
+# 10 objects, tag "a" (id 0) on 3, "b" on 5, both on 1: z(a, b) is one ulp
+# below z(b, a), so at a threshold of z(a, b) only the smaller-id-first
+# score drops the pair
+@example(
+    [["a", "b"], ["a"], ["a"], *[["b"]] * 4, *[["c"]] * 3], z_from_counts(10, 3, 5, 1)
+)
 def test_prune_mask_equals_scalar_predicate(objects, z_threshold):
     network = _network(objects)
     q, freq = network.q_total, network.freq
