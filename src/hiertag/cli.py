@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import functools
 import os
 import random
 import signal
@@ -256,8 +257,13 @@ def _cmd_tree(args: argparse.Namespace) -> _Run:
     return [hierarchy_to_text(binary_tree(args.levels))], _option_rows(args, "levels")
 
 
+@functools.cache
 def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """The `hiertag` parser; its subcommand parsers are of `parser_class` too."""
+    """The `hiertag` parser; its subcommand parsers are of `parser_class` too.
+
+    Built once per process and class, and shared by every caller:
+    `parse_args` fills a new namespace on every call, and no option has a
+    mutable default, so one call's parse leaves nothing for the next."""
     parser = parser_class(
         prog="hiertag",
         description="Extract, evaluate and benchmark directed tag hierarchies "

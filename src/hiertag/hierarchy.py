@@ -3,14 +3,22 @@
 A hierarchy is a directed acyclic graph over tags, with edges pointing from
 ancestor to descendant. A hierarchy file holds one "parent TAB child" edge
 per record of the `textio` format; a record with one field declares an
-isolated tag.
+isolated tag. `load_hierarchy` reads the file through the block reader,
+`textio.record_blocks`: one split of a block gives its fields, and each
+line's TAB count tells an edge (one TAB) from an isolated tag (none). The
+hierarchy is linked from the sorted tags and the distinct position pairs.
+A line of three or more fields, an empty tag, a self-loop or a UTF-8 fault
+sends the file through `textio.record_lines` again, only to name the first
+fault as the line reader meets it.
 """
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
-from .textio import TextFormatError, record_lines
+import numpy as np
+
+from .textio import TextFormatError, record_blocks, record_lines
 
 
 class CycleError(ValueError):
@@ -30,7 +38,8 @@ class Hierarchy:
     `tags`: each tag's children as ascending positions, its parent count, and
     a topological order (Kahn's, ties by position), all built once by
     `_link`. Both constructors feed it position pairs: `Hierarchy(tags,
-    edges)` from name pairs, `from_parents` from a forest's parent array.
+    edges)` from name pairs, `from_parents` from a forest's parent array;
+    `load_hierarchy` feeds it a file's.
     Equality compares tags and child positions; `edges`, the name pairs, is
     built on each access.
     """
@@ -63,7 +72,7 @@ class Hierarchy:
         links = [(position[p], position[c]) for c, p in enumerate(parent) if p >= 0]
         return cls.__new__(cls)._link(tuple(names[i] for i in order), links)
 
-    def _link(self, tags: tuple[str, ...], links: list[tuple[int, int]]) -> "Hierarchy":
+    def _link(self, tags: tuple[str, ...], links: Collection[tuple[int, int]]) -> "Hierarchy":
         """Set every field from sorted `tags` and distinct (parent, child)
         position pairs and return `self`; a cycle in the links raises `CycleError`."""
         self.tags: tuple[str, ...] = tags
@@ -148,25 +157,55 @@ class Hierarchy:
 
 def load_hierarchy(path: str) -> Hierarchy:
     """Read a hierarchy file; format errors name the file and line."""
-    tags: set[str] = set()
-    edges: list[tuple[str, str]] = []
-    for lineno, fields in record_lines(path, HierarchyFormatError):
-        if len(fields) == 1:
-            tags.add(fields[0])
-        elif len(fields) == 2:
-            parent, child = fields
-            if not parent or not child:
-                raise HierarchyFormatError("empty tag in edge", lineno, path)
-            if parent == child:
-                raise HierarchyFormatError(f"self-loop on tag {parent!r}", lineno, path)
-            tags.update((parent, child))
-            edges.append((parent, child))
-        else:
-            raise HierarchyFormatError(f"expected 1 or 2 fields, got {len(fields)}", lineno, path)
+    # well-formed input is read once; the line reader, which numbers lines,
+    # reads only a file the block reader finds malformed
     try:
-        return Hierarchy(tags, edges)
+        tags, links = _block_links(path)
+    except HierarchyFormatError as exc:
+        raise _first_malformed_line(path) or exc from None
+    try:
+        return Hierarchy.__new__(Hierarchy)._link(tags, links)
     except CycleError as exc:
         raise CycleError(f"{path}: {exc}") from None
+
+
+def _block_links(path: str) -> tuple[tuple[str, ...], set[tuple[int, int]]]:
+    """The sorted tags and distinct (parent, child) position pairs of a
+    hierarchy file; a line of three or more fields, an empty tag or a
+    self-loop raises an error without a line number."""
+    names: set[str] = set()
+    parents: list[str] = []
+    children: list[str] = []
+    for text, tabs in record_blocks(path, HierarchyFormatError):
+        fields = text.replace("\n", "\t").split("\t")
+        if tabs.max() > 1 or "" in fields:
+            raise HierarchyFormatError("malformed line", path=path)
+        names.update(fields)
+        # a line's fields end at the running field count; a line of one TAB
+        # is an edge, its parent two fields before that end
+        first = (np.cumsum(tabs + 1) - 2)[tabs == 1]
+        parents += map(fields.__getitem__, first.tolist())
+        children += map(fields.__getitem__, (first + 1).tolist())
+    if any(map(str.__eq__, parents, children)):
+        raise HierarchyFormatError("self-loop", path=path)
+    tags = tuple(sorted(names))
+    position = dict(zip(tags, range(len(tags)))).__getitem__
+    return tags, set(zip(map(position, parents), map(position, children)))
+
+
+def _first_malformed_line(path: str) -> HierarchyFormatError | None:
+    """The error of the first malformed line; a UTF-8 fault that the line
+    reader meets first raises from `record_lines`."""
+    for lineno, fields in record_lines(path, HierarchyFormatError):
+        if len(fields) > 2:
+            return HierarchyFormatError(f"expected 1 or 2 fields, got {len(fields)}", lineno, path)
+        if len(fields) == 2:
+            parent, child = fields
+            if not parent or not child:
+                return HierarchyFormatError("empty tag in edge", lineno, path)
+            if parent == child:
+                return HierarchyFormatError(f"self-loop on tag {parent!r}", lineno, path)
+    return None
 
 
 def hierarchy_to_text(h: Hierarchy) -> str:

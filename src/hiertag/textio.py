@@ -7,15 +7,19 @@ mode turns \\r\\n and \\r into \\n, and only \\n ends a line: \\v, \\f, \\x1c-\\
 it is all whitespace or its first non-blank character is '#'. A record's
 fields are separated by TABs.
 
-There are two readers with the same record rule, `_is_record`: `record_lines`
-yields one record with its line number at a time, and `record_blocks` yields
-the record lines of a block of about `BLOCK_CHARS` characters at a time, for
-the objects-file fast path. It reads a block's line structure from its UTF-8
-bytes: the newline positions, each line's first byte and each line's TAB
-count. A line whose first byte is printable ASCII other than ' ' and '#' is
-certainly a record and skips the rule; only the other lines take it, and
-the block is cut around those that fail it. A UTF-8 fault raises the
-caller's error class, naming the file and the first bad line.
+There are two readers with the same record rule, `_is_record`.
+`record_blocks` yields the record lines of a block of about `BLOCK_CHARS`
+characters at a time, and objects and hierarchy files are read through it.
+`record_lines` yields one record with its line number at a time; it reads
+manifests, and re-reads an objects or hierarchy file the block reader found
+malformed, only to number the fault.
+
+`record_blocks` reads a block's line structure from its UTF-8 bytes: the
+newline positions, each line's first byte and each line's TAB count. A line
+whose first byte is printable ASCII other than ' ' and '#' is certainly a
+record and skips the rule; only the other lines take it, and the block is
+cut around those that fail it. A UTF-8 fault raises the caller's error
+class, naming the file and the first bad line.
 """
 from __future__ import annotations
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import hiertag
 from hiertag.baselines import CENTRALITY_KINDS
-from hiertag.cli import _grid_from_step, main
+from hiertag.cli import _grid_from_step, build_parser, main
 from hiertag.hierarchy import (
     REWIRING_ORDERS,
     Hierarchy,
@@ -652,6 +652,84 @@ def test_undecodable_manifest_error_names_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {manifest}: line 1: 'utf-8' codec can't decode byte 0xff")
     assert len(err.strip().splitlines()) == 1
+
+
+# one run of every subcommand on a small tree, then a usage error, a replay,
+# and a replay whose argv does not parse
+_ROUND = [
+    ["tree", "--levels", "4", "--out", "exact.tsv"],
+    ["generate", "--hierarchy", "exact.tsv", "--objects", "400", "--seed", "2",
+     "--out", "corpus.tsv"],
+    *(
+        ["extract", "corpus.tsv", "--algorithm", algorithm, "--out", f"recon_{algorithm}.tsv"]
+        for algorithm in ("a", "b", "heymann", "schmitz")
+    ),
+    ["evaluate", "exact.tsv", "recon_b.tsv", "--lmi", "--curve-runs", "1",
+     "--curve-grid-step", "0.5", "--out", "report.tsv"],
+    ["curve", "exact.tsv", "--order", "top-first", "--runs", "2", "--grid-step", "0.25",
+     "--out", "curve.tsv"],
+    ["randomize", "exact.tsv", "--fraction", "0.3", "--seed", "5", "--out", "random.tsv"],
+    ["extract", "corpus.tsv", "--algorithm", "x", "--out", "usage.tsv"],
+    ["--manifest", "random.tsv.manifest"],
+    ["--manifest", "bad.manifest"],
+]  # fmt: skip
+
+
+def _without_duration(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith("duration_s\t"))
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_process(argv):
+    src = os.path.dirname(os.path.dirname(hiertag.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "hiertag.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    return run.returncode, run.stdout, run.stderr
+
+
+def _round(directory, monkeypatch, run):
+    """Each `_ROUND` argv's exit code, stdout and stderr as `run` runs it in
+    `directory`, then every file there; `duration_s` rows are left out."""
+    directory.mkdir(exist_ok=True)
+    monkeypatch.chdir(directory)
+    bad = "subcommand\ttree\nargv\ttree\t--levels\tx\n"
+    (directory / "bad.manifest").write_text(bad, encoding="utf-8")
+    results = []
+    for argv in _ROUND:
+        code, out, err = run(argv)
+        results.append((argv, code, out, _without_duration(err)))
+    files = {
+        path.name: _without_duration(path.read_text(encoding="utf-8"))
+        for path in directory.iterdir()
+    }
+    return results, files
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert build_parser() is build_parser()
+    first = _round(tmp_path / "first", monkeypatch, _in_process)
+    codes = [code for _, code, _, _ in first[0]]
+    assert codes == [0] * 9 + [2, 0, 1]
+    assert "invalid choice: 'x'" in first[0][9][3]
+    assert first[0][11][3].startswith("error: bad.manifest: line 2: argv: ")
+    # every call again in the same process, then each in a process of its own
+    assert _round(tmp_path / "second", monkeypatch, _in_process) == first
+    assert _round(tmp_path / "fresh", monkeypatch, _fresh_process) == first
 
 
 def test_extract_manifest_records_corpus_and_network_sizes(tmp_path):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
+from hiertag import textio
 from hiertag.hierarchy import (
     CycleError,
     Hierarchy,
@@ -217,3 +221,115 @@ def test_random_dags_accept_construction():
         table = descendant_table(h)
         for tag in h.tags:
             assert tag not in table[tag]
+
+
+def line_loop_load(path):
+    """The loader hierarchy files had before the block reader: one record
+    at a time through `record_lines`, then `Hierarchy(tags, edges)`."""
+    tags: set[str] = set()
+    edges: list[tuple[str, str]] = []
+    for lineno, fields in textio.record_lines(path, HierarchyFormatError):
+        if len(fields) == 1:
+            tags.add(fields[0])
+        elif len(fields) == 2:
+            parent, child = fields
+            if not parent or not child:
+                raise HierarchyFormatError("empty tag in edge", lineno, path)
+            if parent == child:
+                raise HierarchyFormatError(f"self-loop on tag {parent!r}", lineno, path)
+            tags.update((parent, child))
+            edges.append((parent, child))
+        else:
+            raise HierarchyFormatError(f"expected 1 or 2 fields, got {len(fields)}", lineno, path)
+    try:
+        return Hierarchy(tags, edges)
+    except CycleError as exc:
+        raise CycleError(f"{path}: {exc}") from None
+
+
+def _load_outcome(load, path):
+    """The loaded hierarchy and its edge count, or the error's type and message."""
+    try:
+        h = load(path)
+    except (HierarchyFormatError, CycleError) as exc:
+        return type(exc), str(exc)
+    return h, h.n_edges
+
+
+# every character `str.lstrip` strips but the two that end a line
+BLANKS = "".join(c for c in map(chr, range(0x3001)) if c.isspace() and c not in "\n\r")
+# tags in ancestor order, so that the edges drawn from them form no cycle:
+# a leading space, a '#' inside or leading (which makes a line a comment), a
+# character str.splitlines() breaks on, and non-ASCII names
+TAGS = ["a", " b", "c#d", "#e", "f\x85g", "\xe9", "\u03a9mega", "h\u2028"]
+# one edge, repeated past text mode's first 8 KiB read
+FILLER = ("x\t" + "y" * 78 + "\n") * 102
+
+
+@st.composite
+def valid_lines(draw):
+    """One line of a well-formed hierarchy file, without its line end."""
+    kind = draw(st.sampled_from(["edge", "edge", "edge", "tag", "comment", "blank"]))
+    if kind == "comment":
+        return draw(st.text(BLANKS, max_size=2)) + "#" + draw(st.text("a#\t ", max_size=3))
+    if kind == "blank":
+        return draw(st.text(BLANKS, max_size=3))
+    if kind == "tag":
+        return draw(st.sampled_from(TAGS))
+    i = draw(st.integers(0, len(TAGS) - 2))
+    return f"{TAGS[i]}\t{TAGS[draw(st.integers(i + 1, len(TAGS) - 1))]}"
+
+
+# three fields, an empty side, a self-loop, and edges that close a cycle
+BAD_LINES = ["a\tb\tc", "a\t", "\t\xe9", "a\t\t", "c#d\tc#d", "\xe9\ta", "r\ts\ns\tr"]
+
+
+@st.composite
+def hierarchy_files(draw):
+    """The bytes of a hierarchy file: an optional byte-order mark, lines with
+    mixed line ends and an optional final line end. Some files carry
+    malformed lines (three fields, an empty side, a self-loop, an edge that
+    closes a cycle) and a UTF-8 fault, before or after them and before or
+    after text mode's first 8 KiB."""
+    lines = draw(st.lists(valid_lines(), max_size=12))
+    if draw(st.booleans()):
+        bad = draw(st.lists(st.sampled_from(BAD_LINES), min_size=1, max_size=2))
+        for line in bad:
+            lines.insert(draw(st.integers(0, len(lines))), line)
+    n = len(lines)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=n, max_size=n))
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    chunks = [line.encode("utf-8") + end.encode() for line, end in zip(lines, ends)]
+    if draw(st.booleans()):
+        chunks.insert(draw(st.integers(0, len(chunks))), FILLER.encode())
+    if draw(st.booleans()):
+        chunks.insert(draw(st.integers(0, len(chunks))), b"\xff\n")
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + b"".join(chunks)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=hierarchy_files(), block=st.integers(1, 7))
+# a line of three fields and a UTF-8 fault after 5,000 lines: text mode's
+# first read holds the bad line, so it is named; after 5 lines the first
+# read already fails on the fault
+@example(data=b"a\tb\tc\n" + b"x\ty\n" * 5000 + b"\xff\n", block=textio.BLOCK_CHARS)
+@example(data=b"a\tb\tc\n" + b"x\ty\n" * 5 + b"\xff\n", block=textio.BLOCK_CHARS)
+def test_block_loader_loads_what_the_line_loop_loads(tmp_path_factory, data, block):
+    path = str(tmp_path_factory.mktemp("hierarchy") / "h.tsv")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    expected = _load_outcome(line_loop_load, path)
+    with mock.patch.object(textio, "BLOCK_CHARS", block):
+        assert _load_outcome(load_hierarchy, path) == expected
+    kind = expected[0]
+    event(kind.__name__ if isinstance(kind, type) else "loaded")
+
+
+@pytest.mark.parametrize("middle, line", [(5000, 1), (5, 7)])
+def test_the_first_fault_text_mode_meets_is_named(tmp_path, middle, line):
+    path = tmp_path / "h.tsv"
+    path.write_bytes(b"a\tb\tc\n" + b"x\ty\n" * middle + b"\xff\n")
+    with pytest.raises(HierarchyFormatError) as exc:
+        load_hierarchy(str(path))
+    assert exc.value.line_number == line

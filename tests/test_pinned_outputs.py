@@ -37,11 +37,20 @@ a `hiertag generate` file read by `load_corpus`, recorded while the corpus
 still held one tuple of tag ids per object and before the loader moved to
 reading and interning blocks of text. The same objects with a comment header,
 blank lines, CRLF line endings and object ids must give the same arrays.
+
+The loaded-hierarchy digest pins the tags and child positions `load_hierarchy`
+reads from a messy but valid file (a byte-order mark, CRLF and CR line ends,
+comments, blank lines, duplicate edges, isolated tags, '#' inside a tag and
+non-ASCII names), and the help digests pin the bytes of `hiertag --help` and
+of each subcommand's `--help` at 80 columns. Both were recorded before hierarchy
+files moved to the block reader and before the parser was built once per
+process.
 """
 from __future__ import annotations
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -64,6 +73,7 @@ from hiertag import (
     hierarchy_to_text,
     link_ratios,
     load_corpus,
+    load_hierarchy,
     nmi,
     partition_nmi,
     rewire,
@@ -467,3 +477,53 @@ def test_paper_scale_corpora_match_pinned_digests(run, tmp_path, monkeypatch):
     assert got == PAPER_SCALE_CORPORA[run]
     network = build_cooccurrence(load_corpus("corpus.tsv"))
     assert _network_digests(network) == PAPER_SCALE_NETWORKS[run]
+
+
+MESSY_HIERARCHY = (
+    "\ufeff# hierarchy with every kind of line\r\n"
+    "root\tchild\r\n"
+    "\r\n"
+    "root\tchild\r\n"
+    "  \t \r\n"
+    "\t# an indented comment\r\n"
+    "root\tcaf\xe9\r"
+    "caf\xe9\tna\xefve\r\n"
+    "child\tgrand#child\r\n"
+    "solo\r\n"
+    "root\r\n"
+    "\u03a9mega\r\n"
+    "na\xefve\t\u03a9mega"
+)
+LOADED_HIERARCHY = "e02e523335da81d2f79afe2697c331ad587637e702a7e5f05a8fcc2190324f33"
+
+
+def test_loaded_hierarchy_matches_pinned_digest(tmp_path):
+    path = tmp_path / "messy.tsv"
+    path.write_bytes(MESSY_HIERARCHY.encode("utf-8"))
+    h = load_hierarchy(str(path))
+    assert _sha256(repr((h.tags, h._children))) == LOADED_HIERARCHY
+
+
+# argparse lays help out differently across Python versions; these bytes
+# were recorded on Python 3.11
+HELP = {
+    (): "f50fff946b8b4095309a6b57e6d86dae201c40de168df0de8a9f62d86a0aec69",
+    ("generate",): "809bf11f782b3b39a992f52ce8f4d949d7bf7118f8324fa92fa72398662cc7f2",
+    ("extract",): "b228302a1460cfcb97c5fe16cdbdcb7449bd1b7c37945d3523876773cbd47dea",
+    ("evaluate",): "228e27f770e28a52654bfbf580eed276f18bfd68ef03f46ffa35da1e67aee1dd",
+    ("curve",): "fab38c2e300c45cd0dd372f6f6c85aae34eb7490cdbff3c1358709339f68b1c8",
+    ("randomize",): "296fdddfcfbd9f8bceb3de153806cf2f21b1fb6ed52610b562f3d9eb30937f3c",
+    ("tree",): "de78b18a93f278ae267a24cb14cc41e3100ea003391ae488fbb0b5bc881b1139",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help bytes recorded on Python 3.11")
+def test_help_texts_match_pinned_digests(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = {}
+    for argv in HELP:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        got[argv] = _sha256(capsys.readouterr().out)
+    assert got == HELP

@@ -1,8 +1,9 @@
 """The shared line format: both readers against one reference, and
 byte-order marks.
 
-`record_blocks` (the objects-file fast path) reads line structure from a
-block's bytes and `record_lines` (every other reader) goes line by line, so
+`record_blocks` (the reader of objects and hierarchy files) reads line
+structure from a block's bytes and `record_lines` (the reader of manifests,
+and of a malformed file again to number its fault) goes line by line, so
 the property runs both on random texts at several block sizes and requires
 the same record lines, and from `record_blocks` the same TAB counts, as a
 reference that splits the decoded text at universal newlines. A leading
