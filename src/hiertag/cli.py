@@ -52,7 +52,7 @@ from .hierarchy import (
     rewire,
 )
 from .metrics import decay_curve, evaluate_hierarchies, lmi
-from .textio import TextFormatError, record_lines
+from .textio import TextFormatError, numbered_fields, record_blocks
 
 
 def _write_files(targets: Sequence[tuple[str, Iterable[str], TextIO]]) -> None:
@@ -114,16 +114,19 @@ class _ReplayParser(argparse.ArgumentParser):
 
 
 def _replay_args(path: str) -> tuple[list[str], argparse.Namespace]:
-    """The arguments stored in the argv row of manifest `path`, and their
-    parse; a usage error names the manifest and that row's line."""
-    for lineno, fields in record_lines(path, TextFormatError):
-        if fields[0] == "argv":
-            if fields[1:2] == ["--manifest"]:
-                raise ValueError(
-                    f"manifest {path!r} replays another manifest; nested replay is not supported"
-                )
-            with _named(f"{path}: line {lineno}: argv"):
-                return fields[1:], build_parser(_ReplayParser).parse_args(fields[1:])
+    """The arguments stored in the first argv row of manifest `path`, and
+    their parse; the whole manifest is read first, and a usage error names
+    the manifest and that row's line."""
+    blocks = list(record_blocks(path, TextFormatError))
+    for text, _, lines in blocks:
+        for lineno, fields in numbered_fields(text, lines):
+            if fields[0] == "argv":
+                if fields[1:2] == ["--manifest"]:
+                    raise ValueError(
+                        f"manifest {path!r} replays another manifest; nested replay is not supported"
+                    )
+                with _named(f"{path}: line {lineno}: argv"):
+                    return fields[1:], build_parser(_ReplayParser).parse_args(fields[1:])
     raise ValueError(f"manifest {path!r} has no argv line to replay")
 
 

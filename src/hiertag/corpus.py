@@ -15,7 +15,11 @@ the tag ids of all its objects in one array sort. A file's blocks come from
 that starts with a byte that certainly begins a record goes unchecked)
 and counts each line's TABs: the tokens are one split of the block
 at TABs and newlines, and each object's size is its TAB count plus one.
-With ids, each line's first token is dropped by its index. The
+With ids, each line's first token is dropped by its index. Once a block
+is interned, an interned tag "" means an empty field or a line with only an
+id, and the block names its first faulty line from its line numbers; the
+reader itself names a line that is not UTF-8 once the lines before it are
+checked, so an error always names the first faulty line of the file. The
 co-occurrence network is one symmetric CSR matrix of integer counts,
 counted from the pairs of tags each object carries, a block of about
 PAIR_BLOCK pairs at a time.
@@ -32,14 +36,14 @@ returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress, islice
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .textio import TextFormatError, record_blocks, record_lines
+from .textio import TextFormatError, record_blocks
 
 # objects per block of object lists
 BLOCK_OBJECTS = 1 << 12
@@ -85,6 +89,11 @@ class TagCorpus:
         )
 
 
+# (tokens, sizes) pairs: the tokens of consecutive objects back to back and
+# each object's token count
+_Blocks = Iterable[tuple[Iterable, np.ndarray]]
+
+
 class _Interner(dict):
     """Tag name -> dense id; looking up an unseen name assigns the next id."""
 
@@ -93,12 +102,14 @@ class _Interner(dict):
         return i
 
 
-def _corpus(blocks: Iterable[tuple[Iterable, np.ndarray]]) -> TagCorpus:
+def _corpus(blocks: _Blocks, index: _Interner | None = None, path: str | None = None) -> TagCorpus:
     """The array core: `blocks` yields (tokens, sizes) pairs, the tokens of
     consecutive objects back to back and each object's token count. Tokens
-    are interned in first-appearance order, and a token repeated within an
-    object counts once."""
-    index = _Interner()
+    are interned into `index` (a new one by default) in first-appearance
+    order, each block before the next is asked for, and a token repeated
+    within an object counts once. `path` names the file the blocks come
+    from."""
+    index = _Interner() if index is None else index
     lookup = index.__getitem__
     tag_parts, size_parts = [], []
     for tokens, sizes in blocks:
@@ -113,7 +124,7 @@ def _corpus(blocks: Iterable[tuple[Iterable, np.ndarray]]) -> TagCorpus:
         tag_parts.append(ids)
         size_parts.append(np.bincount(obj, minlength=len(sizes)))
     if not size_parts:
-        raise CorpusFormatError("zero objects")
+        raise CorpusFormatError("zero objects", path=path)
     sizes = np.concatenate(size_parts)
     indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
@@ -123,27 +134,41 @@ def _corpus(blocks: Iterable[tuple[Iterable, np.ndarray]]) -> TagCorpus:
     return TagCorpus(tuple(index), indptr, tags, tuple(freq.tolist()))
 
 
-def _list_blocks(object_tags: Iterable[Sequence]) -> Iterator[tuple[Iterable, np.ndarray]]:
+def _list_blocks(object_tags: Iterable[Sequence]) -> _Blocks:
     it = iter(object_tags)
     while block := list(islice(it, BLOCK_OBJECTS)):
         sizes = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
         yield chain.from_iterable(block), sizes
 
 
-def _file_blocks(path: str, with_ids: bool) -> Iterator[tuple[Iterable, np.ndarray]]:
-    for text, tabs in record_blocks(path, CorpusFormatError):
+def _file_blocks(path: str, with_ids: bool, index: _Interner) -> _Blocks:
+    for text, tabs, lines in record_blocks(path, CorpusFormatError):
         tokens = text.replace("\n", "\t").split("\t")
         if not with_ids:
             yield tokens, tabs + 1
-            continue
-        # each line's first token is its id; a line with only an id keeps the
-        # tag "", which load_corpus reports
-        first = np.cumsum(tabs + 1) - (tabs + 1)
-        for i in first[tabs == 0].tolist():
-            tokens[i] = ""
-        keep = np.ones(len(tokens), dtype=bool)
-        keep[first[tabs > 0]] = False
-        yield compress(tokens, keep.tolist()), np.maximum(tabs, 1)
+        else:
+            # each line's first token is its id; a line with only an id
+            # keeps the tag ""
+            first = np.cumsum(tabs + 1) - (tabs + 1)
+            for i in first[tabs == 0].tolist():
+                tokens[i] = ""
+            keep = np.ones(len(tokens), dtype=bool)
+            keep[first[tabs > 0]] = False
+            yield compress(tokens, keep.tolist()), np.maximum(tabs, 1)
+        # the block is interned into `index` now: the tag "" is an empty
+        # field or a line with only an id
+        if "" in index:
+            raise CorpusFormatError.first_of(path, text, lines, partial(_line_fault, with_ids))
+
+
+def _line_fault(with_ids: bool, fields: list[str]) -> str | None:
+    """What is wrong with an objects file record's fields, if anything."""
+    tags = fields[with_ids:]
+    if not tags:
+        return "object with no tags"
+    if "" in tags:
+        return "empty tag field"
+    return None
 
 
 def corpus_from_object_lists(object_tags: Iterable[Sequence[str]]) -> TagCorpus:
@@ -151,27 +176,10 @@ def corpus_from_object_lists(object_tags: Iterable[Sequence[str]]) -> TagCorpus:
 
 
 def load_corpus(path: str, with_ids: bool = False) -> TagCorpus:
-    """Read an objects file; errors name the file and, where there is one, the line."""
-    # an empty field interns as the tag ""; the file is only re-read to
-    # number the offending line, so well-formed input is read once
-    try:
-        corpus = _corpus(_file_blocks(path, with_ids))
-        if "" not in corpus.names:
-            return corpus
-    except CorpusFormatError as exc:
-        if exc.path is not None:  # a UTF-8 fault, already numbered
-            raise
-    raise _first_malformed_line(path, with_ids)
-
-
-def _first_malformed_line(path: str, with_ids: bool) -> CorpusFormatError:
-    for lineno, fields in record_lines(path, CorpusFormatError):
-        tags = fields[1 if with_ids else 0 :]
-        if not tags:
-            return CorpusFormatError("object with no tags", lineno, path)
-        if "" in tags:
-            return CorpusFormatError("empty tag field", lineno, path)
-    return CorpusFormatError("zero objects", path=path)
+    """Read an objects file; errors name the file and, where there is one,
+    its first faulty line."""
+    index = _Interner()
+    return _corpus(_file_blocks(path, with_ids, index), index, path)
 
 
 @dataclass(frozen=True, eq=False)

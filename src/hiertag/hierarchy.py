@@ -3,22 +3,24 @@
 A hierarchy is a directed acyclic graph over tags, with edges pointing from
 ancestor to descendant. A hierarchy file holds one "parent TAB child" edge
 per record of the `textio` format; a record with one field declares an
-isolated tag. `load_hierarchy` reads the file through the block reader,
+isolated tag. `load_hierarchy` reads the file once through
 `textio.record_blocks`: one split of a block gives its fields, and each
-line's TAB count tells an edge (one TAB) from an isolated tag (none). The
-hierarchy is linked from the sorted tags and the distinct position pairs.
-A line of three or more fields, an empty tag, a self-loop or a UTF-8 fault
-sends the file through `textio.record_lines` again, only to name the first
-fault as the line reader meets it.
+line's TAB count tells an edge (one TAB) from an isolated tag (none). A
+block with a line of three or more fields, an empty tag or a self-loop
+names its first such line from the block's line numbers; the reader
+itself names a line that is not UTF-8 once the lines before it are
+checked. The hierarchy is linked from the sorted tags and the distinct
+position pairs.
 """
 from __future__ import annotations
 
+import operator
 import random
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from .textio import TextFormatError, record_blocks, record_lines
+from .textio import TextFormatError, record_blocks
 
 
 class CycleError(ValueError):
@@ -156,55 +158,41 @@ class Hierarchy:
 
 
 def load_hierarchy(path: str) -> Hierarchy:
-    """Read a hierarchy file; format errors name the file and line."""
-    # well-formed input is read once; the line reader, which numbers lines,
-    # reads only a file the block reader finds malformed
-    try:
-        tags, links = _block_links(path)
-    except HierarchyFormatError as exc:
-        raise _first_malformed_line(path) or exc from None
+    """Read a hierarchy file; format errors name the file and its first
+    faulty line."""
+    names: set[str] = set()
+    parents: list[str] = []
+    children: list[str] = []
+    for text, tabs, lines in record_blocks(path, HierarchyFormatError):
+        fields = text.replace("\n", "\t").split("\t")
+        # a line's fields end at the running field count; a line of one TAB
+        # is an edge, its parent two fields before that end
+        first = (np.cumsum(tabs + 1) - 2)[tabs == 1]
+        block_parents = list(map(fields.__getitem__, first.tolist()))
+        block_children = list(map(fields.__getitem__, (first + 1).tolist()))
+        if tabs.max() > 1 or "" in fields or any(map(operator.eq, block_parents, block_children)):
+            raise HierarchyFormatError.first_of(path, text, lines, _line_fault)
+        names.update(fields)
+        parents += block_parents
+        children += block_children
+    tags = tuple(sorted(names))
+    position = dict(zip(tags, range(len(tags)))).__getitem__
+    links = set(zip(map(position, parents), map(position, children)))
     try:
         return Hierarchy.__new__(Hierarchy)._link(tags, links)
     except CycleError as exc:
         raise CycleError(f"{path}: {exc}") from None
 
 
-def _block_links(path: str) -> tuple[tuple[str, ...], set[tuple[int, int]]]:
-    """The sorted tags and distinct (parent, child) position pairs of a
-    hierarchy file; a line of three or more fields, an empty tag or a
-    self-loop raises an error without a line number."""
-    names: set[str] = set()
-    parents: list[str] = []
-    children: list[str] = []
-    for text, tabs in record_blocks(path, HierarchyFormatError):
-        fields = text.replace("\n", "\t").split("\t")
-        if tabs.max() > 1 or "" in fields:
-            raise HierarchyFormatError("malformed line", path=path)
-        names.update(fields)
-        # a line's fields end at the running field count; a line of one TAB
-        # is an edge, its parent two fields before that end
-        first = (np.cumsum(tabs + 1) - 2)[tabs == 1]
-        parents += map(fields.__getitem__, first.tolist())
-        children += map(fields.__getitem__, (first + 1).tolist())
-    if any(map(str.__eq__, parents, children)):
-        raise HierarchyFormatError("self-loop", path=path)
-    tags = tuple(sorted(names))
-    position = dict(zip(tags, range(len(tags)))).__getitem__
-    return tags, set(zip(map(position, parents), map(position, children)))
-
-
-def _first_malformed_line(path: str) -> HierarchyFormatError | None:
-    """The error of the first malformed line; a UTF-8 fault that the line
-    reader meets first raises from `record_lines`."""
-    for lineno, fields in record_lines(path, HierarchyFormatError):
-        if len(fields) > 2:
-            return HierarchyFormatError(f"expected 1 or 2 fields, got {len(fields)}", lineno, path)
-        if len(fields) == 2:
-            parent, child = fields
-            if not parent or not child:
-                return HierarchyFormatError("empty tag in edge", lineno, path)
-            if parent == child:
-                return HierarchyFormatError(f"self-loop on tag {parent!r}", lineno, path)
+def _line_fault(fields: list[str]) -> str | None:
+    """What is wrong with a hierarchy record's fields, if anything; a record
+    of one field is never empty."""
+    if len(fields) > 2:
+        return f"expected 1 or 2 fields, got {len(fields)}"
+    if "" in fields:
+        return "empty tag in edge"
+    if len(fields) == 2 and fields[0] == fields[1]:
+        return f"self-loop on tag {fields[0]!r}"
     return None
 
 

@@ -7,23 +7,27 @@ mode turns \\r\\n and \\r into \\n, and only \\n ends a line: \\v, \\f, \\x1c-\\
 it is all whitespace or its first non-blank character is '#'. A record's
 fields are separated by TABs.
 
-There are two readers with the same record rule, `_is_record`.
-`record_blocks` yields the record lines of a block of about `BLOCK_CHARS`
-characters at a time, and objects and hierarchy files are read through it.
-`record_lines` yields one record with its line number at a time; it reads
-manifests, and re-reads an objects or hierarchy file the block reader found
-malformed, only to number the fault.
+`record_blocks` is the one reader, and every file is read through it once.
+It yields the record lines of a block of about `BLOCK_CHARS` characters at
+a time, with each line's TAB count and 1-based line number, so a caller
+names the first faulty line of a block from the block itself. It reads a
+block's line structure from its UTF-8 bytes: the newline positions, each
+line's first byte and each line's TAB count. A line whose first byte is
+printable ASCII other than ' ' and '#' is certainly a record and skips the
+rule; only the other lines take it, and the block is cut around those that
+fail it.
 
-`record_blocks` reads a block's line structure from its UTF-8 bytes: the
-newline positions, each line's first byte and each line's TAB count. A line
-whose first byte is printable ASCII other than ' ' and '#' is certainly a
-record and skips the rule; only the other lines take it, and the block is
-cut around those that fail it. A UTF-8 fault raises the caller's error
-class, naming the file and the first bad line.
+A byte that is not UTF-8 does not stop the read: the file is decoded with
+escapes, and encoding a block stops at the first escaped byte. The lines
+before that byte's line are yielded, then the caller's error class is
+raised, naming the line with the message of a strict decode of its bytes.
+Each fault is thus met in file order, whatever the block size: a caller
+that checks every block it is given names the first faulty line of the
+file.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Generator, Iterator
 
 import numpy as np
 
@@ -34,6 +38,11 @@ BLOCK_CHARS = 1 << 16
 _RECORD_START = np.zeros(256, dtype=bool)
 _RECORD_START[0x21:0x7F] = True
 _RECORD_START[ord("#")] = False
+
+# a block of record lines: the lines joined by \n, their TAB counts and their line numbers
+Block = tuple[str, np.ndarray, np.ndarray]
+# what is wrong with a record's fields, or None
+Fault = Callable[[list[str]], "str | None"]
 
 
 class TextFormatError(ValueError):
@@ -49,23 +58,12 @@ class TextFormatError(ValueError):
         self.path = path
 
     @classmethod
-    def undecodable(cls, path: str) -> "TextFormatError":
-        """The error for a file that is not valid UTF-8, at its first bad line.
-
-        Only called once text-mode reading has failed, so loading stays one
-        pass: the file is re-read in binary, without its byte-order mark, and
-        split at the same line breaks text mode uses (\\n, \\r\\n, \\r). Neither
-        break byte occurs inside a UTF-8 sequence, so the fault always falls
-        within one line.
-        """
-        with open(path, "rb") as fh:
-            lines = fh.read().removeprefix(b"\xef\xbb\xbf").splitlines()
-        for lineno, raw in enumerate(lines, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return cls(str(exc), lineno, path)
-        return cls("not valid UTF-8", path=path)
+    def first_of(cls, path: str, text: str, lines: np.ndarray, fault: Fault) -> TextFormatError:
+        """The error of the first record line of a block (`text` and `lines`
+        as `record_blocks` yields them) whose fields `fault` finds a fault
+        in, with its message; the block must hold one."""
+        lineno, message = next((n, m) for n, f in numbered_fields(text, lines) if (m := fault(f)))
+        return cls(message, lineno, path)
 
 
 def _is_record(line: str) -> bool:
@@ -74,55 +72,76 @@ def _is_record(line: str) -> bool:
     return bool((s := line.lstrip()) and s[0] != "#")
 
 
-def record_lines(path: str, error: type[TextFormatError]) -> Iterator[tuple[int, list[str]]]:
-    """(1-based line number, fields) of each record of `path`."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if _is_record(line):
-                    yield lineno, line.rstrip("\n").split("\t")
-    except UnicodeDecodeError:
-        raise error.undecodable(path) from None
-
-
-def record_blocks(path: str, error: type[TextFormatError]) -> Iterator[tuple[str, np.ndarray]]:
-    """The record lines of `path` a block at a time, as the lines joined by
-    \\n and each line's TAB count; a block holds whole lines of about
-    `BLOCK_CHARS` characters."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            carry = ""
-            while text := carry + (chunk := fh.read(BLOCK_CHARS)):
-                # a block ends before its last newline; the rest goes with the next block
-                cut = text.rfind("\n") if chunk else len(text)
-                if cut < 0:
-                    carry = text
-                    continue
-                block, carry = text[:cut], text[cut + 1 :]
+def record_blocks(path: str, error: type[TextFormatError]) -> Iterator[Block]:
+    """The record lines of `path` a block at a time: the lines joined by \\n,
+    each line's TAB count and each line's 1-based line number. A block holds
+    whole lines of about `BLOCK_CHARS` characters; a line that is not UTF-8
+    raises `error` once the lines before it are yielded."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        # the pieces of the text after the last newline read so far, joined
+        # once a newline ends them, so a long line is copied once
+        pieces: list[str] = []
+        lineno = 1
+        while True:
+            chunk = fh.read(BLOCK_CHARS)
+            # a block ends before its last newline; the rest goes with the next block
+            cut = chunk.rfind("\n") if chunk else 0
+            if cut < 0:
+                pieces.append(chunk)
+                continue
+            block = "".join([*pieces, chunk[:cut]])
+            pieces = [chunk[cut + 1 :]]
+            if not (block or chunk):
+                return
+            try:
                 raw = (block + "\n").encode()
-                data = np.frombuffer(raw, dtype=np.uint8)
-                # the TABs and newlines in order: a line's TAB count is the
-                # number of separators between its newline and the one before
-                sep = np.flatnonzero((data == 9) | (data == 10))
-                newlines = np.flatnonzero(data[sep] == 10)
-                tabs = np.diff(newlines, prepend=-1) - 1
-                ends = sep[newlines]
-                starts = np.concatenate(([0], ends[:-1] + 1))
-                # only a line whose first byte may begin a non-record takes the
-                # rule, and the block is cut around the lines that fail it
-                maybe = np.flatnonzero(~_RECORD_START[data[starts]]).tolist()
-                drop = [k for k in maybe if not _is_record(raw[starts[k] : ends[k]].decode())]
-                if drop:
-                    if len(drop) == len(starts):
-                        continue
-                    keep = np.ones(len(starts), dtype=bool)
-                    keep[drop] = False
-                    # the stretches of kept lines between the dropped ones,
-                    # each line with its newline
-                    cuts = np.column_stack((starts[drop], ends[drop] + 1)).ravel().tolist()
-                    bounds = [0, *cuts, len(raw)]
-                    kept = b"".join(raw[a:b] for a, b in zip(bounds[::2], bounds[1::2]))
-                    block, tabs = kept[:-1].decode(), tabs[keep]
-                yield block, tabs
-    except UnicodeDecodeError:
-        raise error.undecodable(path) from None
+            except UnicodeEncodeError as exc:
+                # the lines before the escaped byte's line are a block of
+                # their own; a strict decode of that line's bytes names it
+                start = block.rfind("\n", 0, exc.start) + 1
+                head, line = block[:start], block[start:].partition("\n")[0]
+                lineno += yield from _records(head[:-1], head.encode(), lineno)
+                try:
+                    line.encode(errors="surrogateescape").decode()
+                except UnicodeDecodeError as fault:
+                    raise error(str(fault), lineno, path) from None
+            lineno += yield from _records(block, raw, lineno)
+
+
+def _records(block: str, raw: bytes, lineno: int) -> Generator[Block, None, int]:
+    """Yield the record lines of `block`, whole lines numbered from
+    `lineno`, with their TAB counts and line numbers, unless none is a
+    record; return the number of lines. `raw` is the block's UTF-8 bytes,
+    each line with its newline."""
+    data = np.frombuffer(raw, dtype=np.uint8)
+    # the TABs and newlines in order: a line's TAB count is the number of
+    # separators between its newline and the one before
+    sep = np.flatnonzero((data == 9) | (data == 10))
+    newlines = np.flatnonzero(data[sep] == 10)
+    tabs = np.diff(newlines, prepend=-1) - 1
+    lines = np.arange(lineno, lineno + len(newlines))
+    ends = sep[newlines]
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    # only a line whose first byte may begin a non-record takes the rule, and
+    # the block is cut around the lines that fail it
+    maybe = np.flatnonzero(~_RECORD_START[data[starts]]).tolist()
+    drop = [k for k in maybe if not _is_record(raw[starts[k] : ends[k]].decode())]
+    if len(drop) == len(ends):
+        return len(ends)
+    if drop:
+        keep = np.ones(len(ends), dtype=bool)
+        keep[drop] = False
+        # the stretches of kept lines between the dropped ones, each line
+        # with its newline
+        cuts = np.column_stack((starts[drop], ends[drop] + 1)).ravel().tolist()
+        bounds = [0, *cuts, len(raw)]
+        kept = b"".join(raw[a:b] for a, b in zip(bounds[::2], bounds[1::2]))
+        block, tabs, lines = kept[:-1].decode(), tabs[keep], lines[keep]
+    yield block, tabs, lines
+    return len(ends)
+
+
+def numbered_fields(text: str, lines: np.ndarray) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each record line of a block that
+    `record_blocks` yields."""
+    return zip(lines.tolist(), (line.split("\t") for line in text.split("\n")))

@@ -654,6 +654,18 @@ def test_undecodable_manifest_error_names_the_file(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_a_manifest_is_read_whole_before_its_argv_row_replays(tmp_path, monkeypatch, capsys):
+    # the UTF-8 fault comes after the argv row, and the run does not start
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m").write_bytes(b"argv\ttree\t--levels\t2\t--out\tt.tsv\nversion\t\xff\n")
+    assert main(["--manifest", "m"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: m: line 2: 'utf-8' codec can't decode byte 0xff")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["m"]
+
+
 # one run of every subcommand on a small tree, then a usage error, a replay,
 # and a replay whose argv does not parse
 _ROUND = [

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hiertag import corpus as corpus_module
 from hiertag import textio
 from hiertag.corpus import CorpusFormatError, TagCorpus, corpus_from_object_lists, load_corpus
+from line_reference import objects_rule, read_records
 
 
 class _Interner(dict):
@@ -57,21 +58,18 @@ def reference_load(path, with_ids=False):
     except CorpusFormatError:
         corpus = None
     if corpus is None or "" in corpus[0]:
-        raise reference_first_malformed_line(path, with_ids)
+        raise _reference_fault(path, with_ids)
     return corpus
 
 
-def reference_first_malformed_line(path, with_ids):
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.rstrip("\n").split("\t")[1 if with_ids else 0 :]
-            if not fields:
-                return CorpusFormatError("object with no tags", lineno, path)
-            if "" in fields:
-                return CorpusFormatError("empty tag field", lineno, path)
-    return CorpusFormatError("zero objects", path=path)
+def _reference_fault(path, with_ids):
+    """The error of the first faulty line `line_reference` finds, or of a
+    file without objects."""
+    with open(path, "rb") as fh:
+        fault = read_records(fh.read(), objects_rule(with_ids))[1]
+    if fault is None:
+        return CorpusFormatError("zero objects", path=path)
+    return CorpusFormatError(fault[1], fault[0], path)
 
 
 def _outcome(fn, *args):
@@ -170,10 +168,11 @@ def test_corpora_compare_by_names_freq_and_arrays():
     assert a != (("a", "b"), ((0, 1), (1,)), (1, 2))
 
 
-# The block reader against the line reader: `record_blocks` reads a block's
-# line structure from its bytes and applies the record rule only to blocks
-# with a line that may not be a record, so `load_corpus` must give what
-# `corpus_from_object_lists` gives over the records `record_lines` yields.
+# The block reader against the line reference: `record_blocks` reads a
+# block's line structure from its bytes and applies the record rule only to
+# blocks with a line that may not be a record, so `load_corpus` must give
+# what `corpus_from_object_lists` gives over the records
+# `line_reference.read_records` keeps, or name the same first faulty line.
 # Tags hold '#', start with a non-ASCII letter or a non-ASCII blank; blank
 # lines are drawn from every kind of whitespace `str.lstrip` removes
 LINE_TAGS = ["a", "b", "b#", "x#y", "\xe9", "\u3000c", "\x85d", ""]
@@ -181,19 +180,14 @@ SPACES = " \t\x0b\x0c\x1c\x85\xa0\u3000"
 LINE_ENDS = ["\n", "\r\n", "\r"]
 
 
-def objects_from_record_lines(path, with_ids):
-    records = [
-        (lineno, fields[1 if with_ids else 0 :])
-        for lineno, fields in textio.record_lines(path, CorpusFormatError)
-    ]
-    for lineno, tags in records:
-        if not tags:
-            raise CorpusFormatError("object with no tags", lineno, path)
-        if "" in tags:
-            raise CorpusFormatError("empty tag field", lineno, path)
+def objects_from_reference_records(path, with_ids):
+    with open(path, "rb") as fh:
+        records, fault = read_records(fh.read(), objects_rule(with_ids))
+    if fault is not None:
+        raise CorpusFormatError(fault[1], fault[0], path)
     if not records:
         raise CorpusFormatError("zero objects", path=path)
-    return corpus_from_object_lists(tags for _, tags in records)
+    return corpus_from_object_lists(fields[1 if with_ids else 0 :] for _, fields in records)
 
 
 @st.composite
@@ -248,7 +242,7 @@ def test_block_reader_loads_what_the_line_reader_reads(tmp_path_factory, file, b
     path = str(tmp_path_factory.mktemp("corpus") / "objects.tsv")
     with open(path, "wb") as fh:
         fh.write(text.encode("utf-8"))
-    expected = _outcome(objects_from_record_lines, path, with_ids)
+    expected = _outcome(objects_from_reference_records, path, with_ids)
     with mock.patch.object(textio, "BLOCK_CHARS", block), pytest.MonkeyPatch.context() as mp:
         checked = _checked_lines(mp)
         got = _outcome(load_corpus, path, with_ids)
@@ -276,3 +270,50 @@ def test_only_a_block_with_a_possible_non_record_takes_the_rule(
     assert corpus.names == ("a", "b", " d", "e")
     assert corpus.indptr.tolist() == [0, 2, 3, 4]
     assert seen == checked
+
+
+# one line of each kind of line fault, with ids and without; a UTF-8 fault
+# is a line too
+FAULTS = {
+    False: {"empty": [b"a\t\tb", b"\tc", b"b\t"], "utf-8": [b"a\t\xff", b"\xe9", b"# \xff"]},
+    True: {
+        "empty": [b"o\ta\t\tb", b"o\t\tc", b"o\tb\t"],
+        "no tags": [b"o", b"\xc3\xa9"],
+        "utf-8": [b"o\ta\xff", b"\xff\ta", b"# \xff"],
+    },
+}
+
+
+@st.composite
+def two_fault_files(draw):
+    """(bytes, with_ids, first kind): a well-formed objects file with two
+    faulty lines of different kinds inserted, in either order."""
+    with_ids = draw(st.booleans())
+    kinds = draw(st.permutations(list(FAULTS[with_ids])))[:2]
+    lines = [
+        line.encode("utf-8")
+        for line in draw(st.lists(mixed_lines(with_ids), max_size=8))
+        if read_records(line.encode("utf-8"), objects_rule(with_ids))[1] is None
+    ]
+    i = draw(st.integers(0, len(lines)))
+    j = draw(st.integers(i, len(lines)))
+    first, second = (draw(st.sampled_from(FAULTS[with_ids][kind])) for kind in kinds)
+    lines[i:j] = [first, *lines[i:j], second]
+    n = len(lines)
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=n, max_size=n))
+    return b"".join(map(bytes.__add__, lines, ends)), with_ids, kinds[0]
+
+
+@settings(deadline=None, max_examples=300)
+@given(file=two_fault_files(), block=st.sampled_from([*range(1, 8), textio.BLOCK_CHARS]))
+def test_of_two_faults_the_first_line_is_named(tmp_path_factory, file, block):
+    data, with_ids, kind = file
+    path = str(tmp_path_factory.mktemp("corpus") / "objects.tsv")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    expected = _outcome(objects_from_reference_records, path, with_ids)
+    # the reference names the fault inserted first
+    assert ("can't decode" in expected[1]) == (kind == "utf-8")
+    with mock.patch.object(textio, "BLOCK_CHARS", block):
+        assert _outcome(load_corpus, path, with_ids) == expected
+    event(kind)

@@ -19,6 +19,7 @@ from hiertag.hierarchy import (
     rewire,
     save_hierarchy,
 )
+from line_reference import hierarchy_rule, read_records
 
 
 def test_load_edge_list(tmp_path):
@@ -224,23 +225,14 @@ def test_random_dags_accept_construction():
 
 
 def line_loop_load(path):
-    """The loader hierarchy files had before the block reader: one record
-    at a time through `record_lines`, then `Hierarchy(tags, edges)`."""
-    tags: set[str] = set()
-    edges: list[tuple[str, str]] = []
-    for lineno, fields in textio.record_lines(path, HierarchyFormatError):
-        if len(fields) == 1:
-            tags.add(fields[0])
-        elif len(fields) == 2:
-            parent, child = fields
-            if not parent or not child:
-                raise HierarchyFormatError("empty tag in edge", lineno, path)
-            if parent == child:
-                raise HierarchyFormatError(f"self-loop on tag {parent!r}", lineno, path)
-            tags.update((parent, child))
-            edges.append((parent, child))
-        else:
-            raise HierarchyFormatError(f"expected 1 or 2 fields, got {len(fields)}", lineno, path)
+    """The reference loader: the records `line_reference.read_records` keeps
+    under the hierarchy rule, then `Hierarchy(tags, edges)`."""
+    with open(path, "rb") as fh:
+        records, fault = read_records(fh.read(), hierarchy_rule)
+    if fault is not None:
+        raise HierarchyFormatError(fault[1], fault[0], path)
+    tags = {tag for _, fields in records for tag in fields}
+    edges = [tuple(fields) for _, fields in records if len(fields) == 2]
     try:
         return Hierarchy(tags, edges)
     except CycleError as exc:
@@ -309,10 +301,9 @@ def hierarchy_files(draw):
 
 
 @settings(deadline=None, max_examples=300)
-@given(data=hierarchy_files(), block=st.integers(1, 7))
-# a line of three fields and a UTF-8 fault after 5,000 lines: text mode's
-# first read holds the bad line, so it is named; after 5 lines the first
-# read already fails on the fault
+@given(data=hierarchy_files(), block=st.sampled_from([*range(1, 8), textio.BLOCK_CHARS]))
+# a line of three fields, then a UTF-8 fault after 5 or 5,000 lines: the
+# line of three fields is named either way
 @example(data=b"a\tb\tc\n" + b"x\ty\n" * 5000 + b"\xff\n", block=textio.BLOCK_CHARS)
 @example(data=b"a\tb\tc\n" + b"x\ty\n" * 5 + b"\xff\n", block=textio.BLOCK_CHARS)
 def test_block_loader_loads_what_the_line_loop_loads(tmp_path_factory, data, block):
@@ -326,10 +317,53 @@ def test_block_loader_loads_what_the_line_loop_loads(tmp_path_factory, data, blo
     event(kind.__name__ if isinstance(kind, type) else "loaded")
 
 
-@pytest.mark.parametrize("middle, line", [(5000, 1), (5, 7)])
-def test_the_first_fault_text_mode_meets_is_named(tmp_path, middle, line):
+# one line of each kind of line fault; a UTF-8 fault is a line too
+FAULTS = {
+    "fields": b"a\tb\tc",
+    "empty": "\t\xe9".encode("utf-8"),
+    "self-loop": b"c#d\tc#d",
+    "utf-8": b"a\t\xff",
+}
+
+
+@st.composite
+def two_fault_files(draw):
+    """(bytes, first kind): a well-formed hierarchy file with two faulty
+    lines of different kinds inserted, in either order, and maybe the
+    filler between them, past text mode's first 8 KiB read."""
+    lines = [line.encode("utf-8") for line in draw(st.lists(valid_lines(), max_size=8))]
+    kinds = draw(st.permutations(list(FAULTS)))[:2]
+    i = draw(st.integers(0, len(lines)))
+    j = draw(st.integers(i, len(lines)))
+    middle = [FILLER.encode().rstrip(b"\n")] if draw(st.booleans()) else []
+    lines[i:j] = [FAULTS[kinds[0]], *lines[i:j], *middle, FAULTS[kinds[1]]]
+    n = len(lines)
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=n, max_size=n))
+    return b"".join(map(bytes.__add__, lines, ends)), kinds[0]
+
+
+@settings(deadline=None, max_examples=200)
+@given(file=two_fault_files(), block=st.sampled_from([*range(1, 8), textio.BLOCK_CHARS]))
+def test_of_two_faults_the_first_line_is_named(tmp_path_factory, file, block):
+    data, kind = file
+    path = str(tmp_path_factory.mktemp("hierarchy") / "h.tsv")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    expected = _load_outcome(line_loop_load, path)
+    # the reference names the fault inserted first
+    assert ("can't decode" in expected[1]) == (kind == "utf-8")
+    with mock.patch.object(textio, "BLOCK_CHARS", block):
+        assert _load_outcome(load_hierarchy, path) == expected
+    event(kind)
+
+
+@pytest.mark.parametrize("middle", [5000, 5])
+def test_the_first_faulty_line_is_named_before_a_later_utf8_fault(tmp_path, middle):
+    # the UTF-8 fault lies within text mode's first 8 KiB read after 5
+    # lines and past it after 5,000; the line of three fields comes first
     path = tmp_path / "h.tsv"
     path.write_bytes(b"a\tb\tc\n" + b"x\ty\n" * middle + b"\xff\n")
     with pytest.raises(HierarchyFormatError) as exc:
         load_hierarchy(str(path))
-    assert exc.value.line_number == line
+    assert exc.value.line_number == 1
+    assert str(exc.value) == f"{path}: line 1: expected 1 or 2 fields, got 3"

@@ -1,12 +1,13 @@
-"""The shared line format: both readers against one reference, and
-byte-order marks.
+"""The shared line format: the block reader against line-by-line
+references, fault precedence, and byte-order marks.
 
-`record_blocks` (the reader of objects and hierarchy files) reads line
-structure from a block's bytes and `record_lines` (the reader of manifests,
-and of a malformed file again to number its fault) goes line by line, so
-the property runs both on random texts at several block sizes and requires
-the same record lines, and from `record_blocks` the same TAB counts, as a
-reference that splits the decoded text at universal newlines. A leading
+`record_blocks`, the one reader of every input file, reads line structure
+from a block's bytes, so the properties run it on random files at several
+block sizes. On text it must give the same record lines, TAB counts and
+line numbers as a reference that splits the decoded text at universal
+newlines, as `line_reference.read_records` must on the text's bytes. On
+bytes with a UTF-8 fault it must give the records before the fault's line
+and then name that line with `read_records`'s message. A leading
 byte-order mark must leave every input, and every UTF-8 fault message,
 exactly as it is without the mark.
 """
@@ -22,7 +23,8 @@ from hiertag import textio
 from hiertag.cli import main
 from hiertag.corpus import CorpusFormatError, load_corpus
 from hiertag.hierarchy import HierarchyFormatError, load_hierarchy
-from hiertag.textio import TextFormatError, record_blocks, record_lines
+from hiertag.textio import TextFormatError, record_blocks
+from line_reference import read_records
 
 BOM = "\ufeff"
 
@@ -56,23 +58,63 @@ def texts(draw):
     return draw(st.sampled_from(["", BOM])) + "".join(map(str.__add__, lines, ends))
 
 
+def _read_blocks(path, block):
+    """(line number, TAB count, record line) of each line `record_blocks`
+    yields at `block` characters per block, and the error it raises or None."""
+    rows = []
+    with mock.patch.object(textio, "BLOCK_CHARS", block):
+        try:
+            for text, tabs, lines in record_blocks(path, TextFormatError):
+                rows += zip(lines.tolist(), tabs.tolist(), text.split("\n"))
+        except TextFormatError as exc:
+            return rows, exc
+    return rows, None
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 7, textio.BLOCK_CHARS])
 @settings(deadline=None, max_examples=150)
 @given(text=texts())
-@example(text=BOM + "# comment\r\na\tb\r\n \t#x\n\x0c\n\x85a b")
+@example(text=BOM + "# comment\r\na\tb\r\n \t#x\n\x0c\n\x85a b")
 @example(text=BOM)
 def test_both_readers_return_the_reference_records(tmp_path_factory, block, text):
     path = str(tmp_path_factory.mktemp("text") / "file.tsv")
     with open(path, "wb") as fh:
         fh.write(text.encode("utf-8"))
     expected = reference_records(text)
-    assert list(record_lines(path, TextFormatError)) == expected
-    with mock.patch.object(textio, "BLOCK_CHARS", block):
-        blocks = list(record_blocks(path, TextFormatError))
-    rows = [row for text, _ in blocks for row in text.split("\n")]
-    assert rows == ["\t".join(fields) for _, fields in expected]
-    tabs = [n for _, counts in blocks for n in counts.tolist()]
-    assert tabs == [len(fields) - 1 for _, fields in expected]
+    assert read_records(text.encode("utf-8")) == (expected, None)
+    rows, error = _read_blocks(path, block)
+    assert error is None
+    assert rows == [(n, len(fields) - 1, "\t".join(fields)) for n, fields in expected]
+
+
+# lines that are not UTF-8: a bad start byte, a sequence cut short, an
+# encoded surrogate, and a comment
+BAD_LINES = [b"\xff", b"a\t\xc3", b"\xed\xa0\x80b", b"# \xe9\xff"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    text=texts(),
+    bad=st.lists(st.sampled_from(BAD_LINES), max_size=2),
+    seed=st.randoms(use_true_random=False),
+    block=st.sampled_from([*range(1, 8), textio.BLOCK_CHARS]),
+)
+def test_the_block_reader_stops_at_the_first_utf8_fault(tmp_path_factory, text, bad, seed, block):
+    # the bad lines go in at line breaks of the text's bytes
+    data = text.encode("utf-8")
+    for line in bad:
+        breaks = [0, *(k + 1 for k, byte in enumerate(data) if byte in b"\r\n")]
+        at = seed.choice(breaks)
+        data = data[:at] + line + b"\n" + data[at:]
+    path = str(tmp_path_factory.mktemp("text") / "file.tsv")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    records, fault = read_records(data)
+    assert (fault is None) == (not bad)
+    rows, error = _read_blocks(path, block)
+    assert rows == [(n, len(fields) - 1, "\t".join(fields)) for n, fields in records]
+    if fault is not None:
+        assert (error.line_number, str(error)) == (fault[0], f"{path}: line {fault[0]}: {fault[1]}")
 
 
 def _write_pair(tmp_path, text):
@@ -144,11 +186,21 @@ def test_a_bom_leaves_utf8_fault_messages_unchanged(tmp_path, capsys, kind, cont
 
 
 @pytest.mark.parametrize("block", [1, textio.BLOCK_CHARS])
-def test_a_utf8_fault_outranks_an_earlier_malformed_object(tmp_path, block):
-    # the bad byte lies past text mode's first 8 KiB read, so with one-character
-    # blocks the empty field is interned before the fault is met
+def test_an_earlier_malformed_object_outranks_a_utf8_fault(tmp_path, block):
+    # the bad byte lies past text mode's first 8 KiB read; the empty field
+    # is named whether one-character blocks check it first or a whole block
+    # of lines up to the bad line does
     path = tmp_path / "objects.tsv"
     path.write_bytes(b"a\t\tb\n" + b"c\n" * 5000 + b"\xff\n")
     with mock.patch.object(textio, "BLOCK_CHARS", block), pytest.raises(CorpusFormatError) as exc:
         load_corpus(str(path))
-    assert str(exc.value).startswith(f"{path}: line 5002: 'utf-8' codec can't decode byte 0xff")
+    assert str(exc.value) == f"{path}: line 1: empty tag field"
+
+
+@pytest.mark.parametrize("block", [1, textio.BLOCK_CHARS])
+def test_a_utf8_fault_outranks_a_later_malformed_object(tmp_path, block):
+    path = tmp_path / "objects.tsv"
+    path.write_bytes(b"\xff\n" + b"c\n" * 5000 + b"a\t\tb\n")
+    with mock.patch.object(textio, "BLOCK_CHARS", block), pytest.raises(CorpusFormatError) as exc:
+        load_corpus(str(path))
+    assert str(exc.value).startswith(f"{path}: line 1: 'utf-8' codec can't decode byte 0xff")
